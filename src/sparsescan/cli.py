@@ -25,7 +25,7 @@ from .engine import (
 )
 from .pgm import PgmError
 from .recon import IdwParams
-from .regress import ErdModel
+from .regress import ErdModel, prediction_path
 from .regress.mlp import TrainingDivergedError
 from .regress.modelio import ModelFormatError, load_model, save_model
 from .synth import generic_texture
@@ -212,24 +212,37 @@ def cmd_pretrain(args) -> int:
     return _fit_and_save([image], ids, args, config, args.out, True, extra)
 
 
+def _idw_overrides(args, config):
+    """(window, neighbors) from a flag or --config; None where neither sets one."""
+    return tuple(
+        merge_option(args, config, name)
+        if getattr(args, name, None) is not None or name in config
+        else None
+        for name in ("window", "neighbors")
+    )
+
+
+def _resolve_idw(model, window, k_neighbors) -> IdwParams:
+    """model's IdwParams (the defaults for no model) with non-None overrides."""
+    idw = model.idw if model is not None else IdwParams()
+    return IdwParams(
+        neighbors=idw.neighbors if k_neighbors is None else k_neighbors,
+        power=idw.power,
+        window=idw.window if window is None else window,
+    )
+
+
+def _matmul_note(model) -> str:
+    """The product path prediction runs for model; "none" for the random baseline."""
+    return "none" if model is None else prediction_path(model)
+
+
 def _run_config(args, config, model: ErdModel, workers: int) -> RunConfig:
     initial = merge_option(args, config, "initial")
     budget = merge_option(args, config, "budget")
     checkpoints = merge_option(args, config, "densities", _CHECKPOINT_DENSITIES)
     seed = merge_option(args, config, "seed")
-    window = getattr(args, "window", None)
-    if window is None and "window" in config:
-        window = int(config["window"])
-    k_neighbors = getattr(args, "neighbors", None)
-    if k_neighbors is None and "neighbors" in config:
-        k_neighbors = int(config["neighbors"])
-    idw = model.idw if model is not None else IdwParams()
-    if window is not None or k_neighbors is not None:
-        idw = IdwParams(
-            neighbors=k_neighbors if k_neighbors is not None else idw.neighbors,
-            power=idw.power,
-            window=window if window is not None else idw.window,
-        )
+    idw = _resolve_idw(model, *_idw_overrides(args, config))
     try:
         return RunConfig(
             initial_density=initial,
@@ -269,6 +282,7 @@ def cmd_run(args) -> int:
         ("neighbors", run_config.idw.neighbors),
         ("scoring", run_config.scoring),
         ("workers", run_config.workers),
+        ("matmul", prediction_path(model)),
     ]
     atomic_write_text(os.path.join(args.out, "effective.cfg"), effective_config_text(pairs))
     final_psnr = psnr(image.values, run.final_reconstruction.values)
@@ -286,14 +300,8 @@ def _eval_one(task):
     (label, model_path, image_path, noise_sigma, cfg_fields, window, k_neighbors) = task
     image = load_image(image_path)
     model = None if model_path is None else load_model(model_path)
-    # reconstruction params follow the model unless flags overrode them
-    idw = model.idw if model is not None else IdwParams()
-    if window is not None or k_neighbors is not None:
-        idw = IdwParams(
-            neighbors=k_neighbors if k_neighbors is not None else idw.neighbors,
-            power=idw.power,
-            window=window if window is not None else idw.window,
-        )
+    # reconstruction params follow the model unless flags or --config override them
+    idw = _resolve_idw(model, window, k_neighbors)
     config = RunConfig(idw=idw, **cfg_fields)
     source = SimulatedSource(image, noise_sigma=noise_sigma, seed=config.seed)
     try:
@@ -310,14 +318,16 @@ def _eval_one(task):
 def cmd_eval(args) -> int:
     config = read_config_file(args.config) if args.config else {}
     methods = []
+    models = {}
     for path in args.model or []:
         label = os.path.splitext(os.path.basename(path))[0]
-        load_model(path)  # validate early, before any runs are spent
+        models[label] = load_model(path)  # validate early, before any runs are spent
         methods.append((label, path))
     for name in args.method or []:
         if name != "random":
             raise UsageError(f"--method supports only 'random', got {name!r}")
         methods.append(("random", None))
+        models["random"] = None
     if not methods:
         raise UsageError("nothing to evaluate: pass --model and/or --method random")
     image = load_image(args.image)
@@ -330,6 +340,7 @@ def cmd_eval(args) -> int:
     base_seed = merge_option(args, config, "seed")
     workers = resolve_threads()
     run_config = _run_config(args, config, None, 1)
+    window, k_neighbors = _idw_overrides(args, config)
 
     tasks = []
     for label, path in methods:
@@ -349,8 +360,8 @@ def cmd_eval(args) -> int:
                     os.path.abspath(args.image),
                     noise_sigma,
                     fields,
-                    args.window,
-                    args.neighbors,
+                    window,
+                    k_neighbors,
                 )
             )
 
@@ -388,6 +399,11 @@ def cmd_eval(args) -> int:
                 f"{repr(float(p.std()))},{repr(float(dist.mean()))},{repr(wall_mean)}"
             )
     atomic_write_text(args.out, "\n".join(lines) + "\n")
+    idws = {label: _resolve_idw(model, window, k_neighbors) for label, model in models.items()}
+
+    def per_method(value):
+        return ";".join(f"{label}:{value(label)}" for label, _ in methods)
+
     pairs = [
         ("image", os.path.abspath(args.image)),
         ("methods", ";".join(label for label, _ in methods)),
@@ -397,8 +413,9 @@ def cmd_eval(args) -> int:
         ("seed", base_seed),
         ("repeats", repeats),
         ("noise_sigma", noise_sigma),
-        ("window", args.window if args.window is not None else "per-model"),
-        ("neighbors", args.neighbors if args.neighbors is not None else "per-model"),
+        ("window", per_method(lambda label: idws[label].window)),
+        ("neighbors", per_method(lambda label: idws[label].neighbors)),
+        ("matmul", per_method(lambda label: _matmul_note(models[label]))),
     ]
     atomic_write_text(args.out + ".cfg", effective_config_text(pairs))
     print(f"wrote {args.out} ({len(methods)} methods x {repeats} repeats)")

@@ -72,6 +72,11 @@ class SimulatedSource:
         return float(self.image.values[s[0], s[1]] + self._noise[s[0], s[1]])
 
 
+def _artifact_percent(density: float) -> int:
+    """Whole percent that names a checkpoint's mask_XXX/recon_XXX artifacts."""
+    return int(round(density * 100))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     initial_density: float = 0.01
@@ -90,6 +95,13 @@ class RunConfig:
             raise ValueError("checkpoint densities must lie in (0, 1]")
         if any(c > self.budget_density for c in cps):
             raise ValueError("checkpoint densities must not exceed the budget")
+        pcts = [_artifact_percent(c) for c in cps]
+        clash = [c for c, p in zip(cps, pcts) if pcts.count(p) > 1]
+        if clash:
+            raise ValueError(
+                f"checkpoint densities {clash} round to the same whole percent, "
+                "so their mask/recon artifacts would overwrite each other"
+            )
         if self.scoring not in SCORING_MODES:
             raise ValueError(f"scoring must be one of {SCORING_MODES}")
         if self.workers < 1:
@@ -471,7 +483,7 @@ def save_checkpoint_artifacts(run: SamplingRun, out_dir) -> list:
 
     paths = []
     for cp in run.checkpoints:
-        pct = int(round(cp.density * 100))
+        pct = _artifact_percent(cp.density)
         mask_path = os.path.join(out_dir, f"mask_{pct:03d}.pgm")
         recon_path = os.path.join(out_dir, f"recon_{pct:03d}.pgm")
         save_mask(mask_path, cp.mask)

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..features import FeatureStats, FeatureVector, standardize
-from ..numerics import stable_matvec
+from ..numerics import matmul_path, stable_matvec
 from ..recon import IdwParams
 from .linear import LinearModel, fit_linear
 from .mlp import MlpConfig, MlpModel, TrainingDivergedError, fit_mlp
@@ -57,6 +57,17 @@ def predict_batch(model: ErdModel, raw_features: np.ndarray) -> np.ndarray:
     )
 
 
+def prediction_path(model: ErdModel) -> str:
+    """The product path predict_batch runs for model, as effective.cfg reports it.
+
+    nn layers go through stable_matmul (``blas-tile256``, or ``einsum`` for a
+    weight shape whose self-test failed); lsq and svr always use einsum.
+    """
+    if model.kind != "nn":
+        return "einsum"
+    return "+".join(sorted({matmul_path(*w.shape) for w in model.payload.weights}))
+
+
 def predict(model: ErdModel, features) -> float:
     """Predicted ERD for a single feature vector or FeatureVector."""
     if isinstance(features, FeatureVector):
@@ -92,5 +103,6 @@ __all__ = [
     "load_model",
     "predict",
     "predict_batch",
+    "prediction_path",
     "save_model",
 ]

@@ -95,7 +95,10 @@ def forward(weights, biases, x: np.ndarray, activation: str) -> np.ndarray:
     """Batch-composition-stable forward pass; returns (m,) predictions."""
     h = np.asarray(x, dtype=np.float64)
     for w, b in zip(weights[:-1], biases[:-1]):
-        h = _act(stable_matmul(h, w) + b, activation)
+        h = stable_matmul(h, w)
+        h += b
+        if activation == "relu":
+            np.maximum(h, 0.0, out=h)
     return (stable_matmul(h, weights[-1]) + biases[-1])[:, 0]
 
 

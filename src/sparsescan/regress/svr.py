@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..numerics import stable_cross_sq_dists
+from ..numerics import ROW_TILE, stable_cross_sq_dists
 
 _TAU = 1e-12
 
@@ -167,6 +167,22 @@ def fit_svr(
 
 
 def predict_svr(model: SvrModel, v: np.ndarray) -> np.ndarray:
-    """Batch-composition-stable prediction for standardized rows v (m, t)."""
-    k = np.exp(-model.gamma * stable_cross_sq_dists(v, model.support_vectors))
-    return np.einsum("ij,j->i", k, model.coefficients) + model.bias
+    """Batch-composition-stable prediction for standardized rows v (m, t).
+
+    Kernel rows are built ROW_TILE rows at a time, so memory stays at two
+    (ROW_TILE, support vectors) arrays; einsum rows do not depend on the
+    block they are computed in.  Every block reuses the same two arrays:
+    fresh ones per block make the allocator hand their pages back and fault
+    them in again, which cost more than the arithmetic.
+    """
+    sv = model.support_vectors
+    out = np.empty(v.shape[0])
+    k_work, cross_work = np.empty((2, min(v.shape[0], ROW_TILE), sv.shape[0]))
+    for start in range(0, v.shape[0], ROW_TILE):
+        block = v[start : start + ROW_TILE]
+        rows = block.shape[0]
+        k = stable_cross_sq_dists(block, sv, out=k_work[:rows], scratch=cross_work[:rows])
+        k *= -model.gamma
+        np.exp(k, out=k)
+        out[start : start + ROW_TILE] = np.einsum("ij,j->i", k, model.coefficients)
+    return out + model.bias

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sparsescan.cli import (
@@ -19,7 +20,11 @@ from sparsescan.cli import (
     resolve_threads,
 )
 from sparsescan.core import save_image
-from sparsescan.regress import load_model
+from sparsescan.features import FeatureStats
+from sparsescan.numerics import ROW_TILE
+from sparsescan.recon import IdwParams
+from sparsescan.regress import ErdModel, MlpModel, load_model, save_model
+from sparsescan.regress.mlp import init_params
 from sparsescan.synth import blob_image
 
 
@@ -283,6 +288,32 @@ class TestRun:
         cfg = dict(l.split("=", 1) for l in (out / "effective.cfg").read_text().splitlines())
         assert cfg["budget"] == "0.2" and cfg["seed"] == "1"
         assert cfg["window"] == "15" and cfg["neighbors"] == "10"  # from the model
+        assert cfg["matmul"] == "einsum"  # lsq predicts through einsum
+
+    def test_nn_run_reports_tiled_matmul(self, workdir, tmp_path, capsys):
+        weights, biases = init_params(6, seed=1)
+        model = ErdModel(
+            kind="nn",
+            payload=MlpModel(weights=tuple(weights), biases=tuple(biases), activation="relu"),
+            stats=FeatureStats(means=np.zeros(6), stds=np.full(6, 20.0)),
+            idw=IdwParams(),
+        )
+        save_model(model, tmp_path / "nn.slnm")
+        argv = self.run_args(workdir, tmp_path / "runout")
+        argv[argv.index("--model") + 1] = tmp_path / "nn.slnm"
+        assert run_cli(*argv) == EXIT_OK
+        lines = (tmp_path / "runout" / "effective.cfg").read_text().splitlines()
+        cfg = dict(l.split("=", 1) for l in lines)
+        assert cfg["matmul"] == f"blas-tile{ROW_TILE}"
+        capsys.readouterr()
+
+    def test_checkpoints_sharing_an_artifact_name_are_usage_error(self, workdir, tmp_path, capsys):
+        out = tmp_path / "runout"
+        argv = self.run_args(workdir, out)
+        argv[argv.index("--densities") + 1] = "0.1,0.104,0.2"
+        assert run_cli(*argv) == EXIT_USAGE
+        assert "same whole percent" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rerun_is_byte_identical(self, workdir, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -401,7 +432,9 @@ class TestEval:
             l.split("=", 1) for l in (tmp_path / "report.csv.cfg").read_text().splitlines()
         )
         assert side["methods"] == "m;random"
-        assert side["window"] == "per-model"
+        assert side["window"] == "m:15;random:15"  # resolved per method
+        assert side["neighbors"] == "m:10;random:10"
+        assert side["matmul"] == "m:einsum;random:none"
         assert side["repeats"] == "2"
 
     def test_no_walltime_makes_reports_reproducible(self, workdir, tmp_path, capsys):
@@ -418,6 +451,24 @@ class TestEval:
         monkeypatch.setenv("SLADS_THREADS", "2")
         assert run_cli(*self.eval_args(workdir, parallel, "--no-walltime")) == EXIT_OK
         assert serial.read_bytes() == parallel.read_bytes()
+        capsys.readouterr()
+
+    def test_config_window_and_neighbors_match_flags(self, workdir, tmp_path, capsys):
+        flags, from_cfg, plain = tmp_path / "f.csv", tmp_path / "c.csv", tmp_path / "p.csv"
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("window=3\nneighbors=4\n")
+        argv = self.eval_args(workdir, flags, "--no-walltime", "--window", "3", "--neighbors", "4")
+        assert run_cli(*argv) == EXIT_OK
+        assert run_cli(*self.eval_args(workdir, from_cfg, "--no-walltime", "--config", cfg)) == 0
+        assert run_cli(*self.eval_args(workdir, plain, "--no-walltime")) == EXIT_OK
+        assert flags.read_bytes() == from_cfg.read_bytes()
+        assert flags.read_bytes() != plain.read_bytes()  # the override took effect
+        sides = [
+            dict(l.split("=", 1) for l in Path(f"{p}.cfg").read_text().splitlines())
+            for p in (flags, from_cfg)
+        ]
+        for side in sides:
+            assert side["window"] == "m:3;random:3" and side["neighbors"] == "m:4;random:4"
         capsys.readouterr()
 
     def test_random_at_full_budget_hits_the_cap(self, workdir, tmp_path, capsys):

@@ -24,7 +24,8 @@ from sparsescan.engine import (
 )
 from sparsescan.features import FeatureStats
 from sparsescan.recon import IdwParams, reconstruct
-from sparsescan.regress import ErdModel, LinearModel
+from sparsescan.regress import ErdModel, LinearModel, MlpModel
+from sparsescan.regress.mlp import init_params
 from sparsescan.synth import blob_image
 from sparsescan.training import TrainingSchedule, train_erd_model
 
@@ -118,6 +119,13 @@ class TestRunConfig:
             RunConfig(scoring="eager")
         with pytest.raises(ValueError):
             RunConfig(workers=0)
+
+    def test_rejects_checkpoints_sharing_an_artifact_name(self):
+        # artifacts are named by whole percent: 0.10 and 0.104 are both mask_010
+        for densities in ((0.10, 0.104), (0.20, 0.20), (0.095, 0.10)):
+            with pytest.raises(ValueError, match="same whole percent"):
+                RunConfig(checkpoint_densities=densities)
+        RunConfig(checkpoint_densities=(0.10, 0.11, 0.115))  # 10, 11, 12 percent
 
 
 class TestSelectNext:
@@ -260,6 +268,34 @@ class TestRunSampling:
             p = tmp_path / f"{mode}.csv"
             save_history_csv(run, p)
             outs.append(p.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_lazy_and_full_scoring_agree_exactly_for_nn_at_64(self, tmp_path):
+        # untrained weights are enough: the property is about batching.  A
+        # small window keeps the lazy batches at tens of rows while full
+        # scoring pushes about 4,000 rows through the MLP's 256-row tiles.
+        weights, biases = init_params(6, seed=4)
+        model = ErdModel(
+            kind="nn",
+            payload=MlpModel(weights=tuple(weights), biases=tuple(biases), activation="relu"),
+            stats=FeatureStats(means=np.zeros(6), stds=np.full(6, 20.0)),
+            idw=PARAMS,
+        )
+        image = blob_image(size=64, seed=12)
+        outs = []
+        for mode in ("lazy", "full"):
+            cfg = self.small_config(
+                initial_density=0.01,
+                budget_density=0.04,
+                checkpoint_densities=(),
+                idw=IdwParams(neighbors=10, power=2.0, window=3),
+                scoring=mode,
+            )
+            run = run_sampling(SimulatedSource(image), model, cfg, image)
+            p = tmp_path / f"{mode}.csv"
+            save_history_csv(run, p)
+            outs.append(p.read_bytes())
+        assert len(run.history) == math.ceil(0.04 * 64 * 64)
         assert outs[0] == outs[1]
 
     def test_checkpoints_fire_at_first_reaching_step(self, trained_lsq):

@@ -1,8 +1,9 @@
 """Guards for the deterministic numeric kernels.
 
-The whole package leans on two properties: einsum-based products give each
-output row the same bits no matter which other rows are in the batch, and
-fsum-based absolute sums are exactly rounded (hence order-free).  These
+The whole package leans on two properties: the products behind prediction
+(fixed-shape BLAS tiles, or einsum) give each output row the same bits no
+matter which other rows are in the batch, and fsum-based absolute sums are
+exactly rounded (hence order-free).  These
 tests pin both down so a regression is caught here and not as a mysterious
 determinism failure three layers up.
 """
@@ -13,8 +14,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sparsescan import numerics
 from sparsescan.numerics import (
+    ROW_TILE,
     exact_abs_sum,
+    matmul_path,
     quantize_u8,
     stable_cross_sq_dists,
     stable_matmul,
@@ -62,12 +66,104 @@ class TestRowStability:
             row = stable_cross_sq_dists(a[i : i + 1], b)
             assert np.array_equal(full[i], row[0])
 
+    def test_cross_sq_dists_into_given_arrays_keeps_bits(self):
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal((30, 6))
+        b = rng.standard_normal((12, 6))
+        out, scratch = np.empty((2, 30, 12))
+        got = stable_cross_sq_dists(a, b, out=out, scratch=scratch)
+        assert got is out
+        want = np.maximum(
+            np.einsum("ij,ij->i", a, a)[:, None]
+            + np.einsum("ij,ij->i", b, b)[None, :]
+            - 2.0 * np.einsum("ij,kj->ik", a, b),
+            0.0,
+        )
+        assert np.array_equal(got, want)
+        assert np.array_equal(stable_cross_sq_dists(a, b), want)
+
     def test_cross_sq_dists_nonnegative_and_zero_diagonal(self):
         rng = np.random.default_rng(12)
         a = rng.standard_normal((25, 6))
         d = stable_cross_sq_dists(a, a)
         assert np.all(d >= 0.0)
         assert np.allclose(np.diag(d), 0.0, atol=1e-12)
+
+
+@pytest.fixture
+def fresh_self_test():
+    """Forget memoised self-test results before and after the test."""
+    numerics._tiles_row_invariant.cache_clear()
+    yield
+    numerics._tiles_row_invariant.cache_clear()
+
+
+def _einsum_matmul(a, b):
+    return np.einsum("ij,jk->ik", a, b)
+
+
+def _position_dependent(a, b):
+    """A product whose rows depend on where they sit in the batch."""
+    return a @ b + np.arange(a.shape[0])[:, None] * 1e-9
+
+
+class TestTiledMatmul:
+    """stable_matmul runs fixed-shape BLAS tiles behind a self-test."""
+
+    @pytest.mark.parametrize("k, n", [(6, 50), (50, 50), (50, 1)])
+    def test_mlp_weight_shapes_take_the_tiled_path(self, k, n):
+        # fails on a BLAS build whose tiles are not row-position invariant:
+        # prediction there is correct but runs the slower einsum fallback
+        assert matmul_path(k, n) == f"blas-tile{ROW_TILE}"
+
+    @pytest.mark.parametrize("m", [1, ROW_TILE - 1, ROW_TILE, ROW_TILE + 1, 1000])
+    def test_rows_independent_of_batch_across_tile_edges(self, m):
+        rng = np.random.default_rng(m)
+        a = rng.standard_normal((m, 50))
+        b = rng.standard_normal((50, 50))
+        full = stable_matmul(a, b)
+        perm = rng.permutation(m)
+        assert np.array_equal(stable_matmul(a[perm], b), full[perm])
+        for i in {0, m // 2, m - 1}:
+            assert np.array_equal(stable_matmul(a[i : i + 1], b)[0], full[i])
+
+    def test_agrees_with_einsum_reference(self):
+        rng = np.random.default_rng(21)
+        for k, n in ((6, 50), (50, 50), (50, 1)):
+            a = rng.standard_normal((1000, k))
+            b = rng.standard_normal((k, n))
+            np.testing.assert_allclose(
+                stable_matmul(a, b), _einsum_matmul(a, b), rtol=1e-9, atol=1e-12
+            )
+
+    def test_accepts_non_contiguous_inputs(self):
+        rng = np.random.default_rng(22)
+        a = rng.standard_normal((300, 100))[:, ::2]
+        b = rng.standard_normal((100, 50))[::2]
+        assert np.array_equal(stable_matmul(a, b), stable_matmul(a.copy(), b.copy()))
+
+    def test_self_test_runs_once_per_weight_shape(self, fresh_self_test):
+        rng = np.random.default_rng(23)
+        for m in (3, 300, 700):
+            stable_matmul(rng.standard_normal((m, 50)), rng.standard_normal((50, 50)))
+            stable_matmul(rng.standard_normal((m, 50)), rng.standard_normal((50, 1)))
+        info = numerics._tiles_row_invariant.cache_info()
+        assert (info.misses, info.hits) == (2, 4)
+
+    def test_self_test_accepts_an_invariant_product(self, fresh_self_test, monkeypatch):
+        monkeypatch.setattr(numerics, "_blas_tiles", _einsum_matmul)
+        assert matmul_path(50, 50) == f"blas-tile{ROW_TILE}"
+
+    def test_failed_self_test_falls_back_to_einsum(self, fresh_self_test, monkeypatch):
+        monkeypatch.setattr(numerics, "_blas_tiles", _position_dependent)
+        assert matmul_path(50, 50) == "einsum"
+        rng = np.random.default_rng(24)
+        a = rng.standard_normal((ROW_TILE + 7, 50))
+        b = rng.standard_normal((50, 50))
+        full = stable_matmul(a, b)
+        assert np.array_equal(full, _einsum_matmul(a, b))
+        perm = rng.permutation(a.shape[0])
+        assert np.array_equal(stable_matmul(a[perm], b), full[perm])
 
 
 class TestExactAbsSum:

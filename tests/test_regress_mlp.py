@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sparsescan import numerics
 from sparsescan.regress.mlp import (
     HIDDEN_LAYERS,
     HIDDEN_UNITS,
@@ -38,6 +39,15 @@ def numeric_bias_gradient(weights, biases, x, r, activation, bi, index, step=1e-
     lp = loss_and_gradients(weights, b_plus, x, r, activation)[0]
     lm = loss_and_gradients(weights, b_minus, x, r, activation)[0]
     return (lp - lm) / (2.0 * step)
+
+
+def einsum_forward(weights, biases, x, activation):
+    """Reference forward pass with every product through einsum."""
+    h = x
+    for w, b in zip(weights[:-1], biases[:-1]):
+        z = np.einsum("ij,jk->ik", h, w) + b
+        h = np.maximum(z, 0.0) if activation == "relu" else z
+    return (np.einsum("ij,jk->ik", h, weights[-1]) + biases[-1])[:, 0]
 
 
 def relative_error(a, b):
@@ -146,6 +156,46 @@ class TestForward:
         for i in (0, 11, 29):
             single = forward(weights, biases, x[i : i + 1], "relu")
             assert full[i] == single[0]
+
+    @pytest.mark.parametrize("m", [1, 255, 256, 257, 1000])
+    def test_rows_are_position_independent_across_tile_edges(self, m):
+        weights, biases = init_params(6, seed=7)
+        rng = np.random.default_rng(m)
+        x = rng.standard_normal((m, 6))
+        full = forward(weights, biases, x, "relu")
+        perm = rng.permutation(m)
+        assert np.array_equal(forward(weights, biases, x[perm], "relu"), full[perm])
+        for i in {0, min(255, m - 1), min(256, m - 1), m - 1}:
+            assert forward(weights, biases, x[i : i + 1], "relu")[0] == full[i]
+
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    def test_agrees_with_einsum_reference(self, activation):
+        weights, biases = init_params(6, seed=8)
+        x = np.random.default_rng(4).standard_normal((1000, 6))
+        np.testing.assert_allclose(
+            forward(weights, biases, x, activation),
+            einsum_forward(weights, biases, x, activation),
+            rtol=1e-9,
+            atol=1e-12,
+        )
+
+    def test_failed_self_test_falls_back_to_einsum(self, monkeypatch):
+        # a product whose rows depend on their batch position must fail the
+        # self-test; forward then runs einsum and stays batch-independent
+        def position_dependent(a, b):
+            return a @ b + np.arange(a.shape[0])[:, None] * 1e-9
+
+        numerics._tiles_row_invariant.cache_clear()
+        monkeypatch.setattr(numerics, "_blas_tiles", position_dependent)
+        try:
+            weights, biases = init_params(6, seed=9)
+            x = np.random.default_rng(5).standard_normal((300, 6))
+            full = forward(weights, biases, x, "relu")
+            assert np.array_equal(full, einsum_forward(weights, biases, x, "relu"))
+            for i in (0, 150, 299):
+                assert forward(weights, biases, x[i : i + 1], "relu")[0] == full[i]
+        finally:
+            numerics._tiles_row_invariant.cache_clear()
 
     def test_architecture_shapes(self):
         weights, biases = init_params(6, seed=0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from sparsescan.numerics import ROW_TILE
 from sparsescan.regress.svr import (
     SvrModel,
     auto_gamma,
@@ -204,6 +205,18 @@ class TestPrediction:
         batch = predict_svr(model, V)
         for i in (0, 14, 29):
             assert predict_svr(model, V[i : i + 1])[0] == batch[i]
+
+    def test_blocked_prediction_matches_whole_batch_formula(self):
+        # predict_svr builds kernel rows ROW_TILE at a time; the bits must be
+        # those of the whole-batch kernel
+        V, R = toy_dataset(15)
+        model = fit_svr(V, R)
+        rng = np.random.default_rng(16)
+        for m in (1, ROW_TILE - 1, ROW_TILE, ROW_TILE + 1, 1000):
+            q = rng.standard_normal((m, V.shape[1]))
+            k = rbf_kernel(q, model.support_vectors, model.gamma)
+            want = np.einsum("ij,j->i", k, model.coefficients) + model.bias
+            assert np.array_equal(predict_svr(model, q), want)
 
     def test_auto_gamma_values(self):
         rng = np.random.default_rng(14)
