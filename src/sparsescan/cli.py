@@ -237,7 +237,7 @@ def _matmul_note(model) -> str:
     return "none" if model is None else prediction_path(model)
 
 
-def _run_config(args, config, model: ErdModel, workers: int) -> RunConfig:
+def _run_config(args, config, model: ErdModel) -> RunConfig:
     initial = merge_option(args, config, "initial")
     budget = merge_option(args, config, "budget")
     checkpoints = merge_option(args, config, "densities", _CHECKPOINT_DENSITIES)
@@ -250,7 +250,6 @@ def _run_config(args, config, model: ErdModel, workers: int) -> RunConfig:
             checkpoint_densities=checkpoints,
             seed=seed,
             idw=idw,
-            workers=workers,
         )
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -261,8 +260,8 @@ def cmd_run(args) -> int:
     model = load_model(args.model)
     image = load_image(args.image)
     noise_sigma = merge_option(args, config, "noise_sigma")
-    workers = resolve_threads()
-    run_config = _run_config(args, config, model, workers)
+    resolve_threads()  # a malformed SLADS_THREADS is a usage error here as in eval
+    run_config = _run_config(args, config, model)
 
     os.makedirs(args.out, exist_ok=True)
     source = SimulatedSource(image, noise_sigma=noise_sigma, seed=run_config.seed)
@@ -280,8 +279,6 @@ def cmd_run(args) -> int:
         ("noise_sigma", noise_sigma),
         ("window", run_config.idw.window),
         ("neighbors", run_config.idw.neighbors),
-        ("scoring", run_config.scoring),
-        ("workers", run_config.workers),
         ("matmul", prediction_path(model)),
     ]
     atomic_write_text(os.path.join(args.out, "effective.cfg"), effective_config_text(pairs))
@@ -317,19 +314,23 @@ def _eval_one(task):
 
 def cmd_eval(args) -> int:
     config = read_config_file(args.config) if args.config else {}
-    methods = []
-    models = {}
-    for path in args.model or []:
-        label = os.path.splitext(os.path.basename(path))[0]
-        models[label] = load_model(path)  # validate early, before any runs are spent
-        methods.append((label, path))
+    methods = [(os.path.splitext(os.path.basename(p))[0], p) for p in args.model or []]
     for name in args.method or []:
         if name != "random":
             raise UsageError(f"--method supports only 'random', got {name!r}")
         methods.append(("random", None))
-        models["random"] = None
     if not methods:
         raise UsageError("nothing to evaluate: pass --model and/or --method random")
+    labels = [label for label, _ in methods]
+    shared = sorted({label for label in labels if labels.count(label) > 1})
+    if shared:
+        # the report has one row set per label, so two methods would be pooled
+        raise UsageError(
+            f"methods share the label(s) {', '.join(shared)} (a model's file name "
+            "without extension, or 'random'); give each model a distinct file name"
+        )
+    # validate every model early, before any runs are spent
+    models = {label: None if path is None else load_model(path) for label, path in methods}
     image = load_image(args.image)
     del image  # existence/format check only; workers reload per run
 
@@ -339,7 +340,7 @@ def cmd_eval(args) -> int:
         raise UsageError("--repeats must be >= 1")
     base_seed = merge_option(args, config, "seed")
     workers = resolve_threads()
-    run_config = _run_config(args, config, None, 1)
+    run_config = _run_config(args, config, None)
     window, k_neighbors = _idw_overrides(args, config)
 
     tasks = []
@@ -350,8 +351,6 @@ def cmd_eval(args) -> int:
                 "budget_density": run_config.budget_density,
                 "checkpoint_densities": run_config.checkpoint_densities,
                 "seed": base_seed + r,
-                "scoring": run_config.scoring,
-                "workers": 1,
             }
             tasks.append(
                 (

@@ -2,10 +2,10 @@
 
 Each step scores unmeasured pixels with a trained regressor, measures the
 highest-scoring location (ties to the lowest linear index), and updates the
-reconstruction within the window around the new point.  The "lazy" scoring
-mode rescores only pixels whose descriptor inputs could have changed, which
-is provably the same set of scores the "full" mode recomputes from scratch:
-prediction is row-stable, so untouched rows keep identical bits.
+reconstruction within the window around the new point.  Only pixels whose
+descriptor inputs could have changed are rescored, which gives the scores a
+full rescoring would: prediction is row-stable, so untouched rows keep
+identical bits.  The uniform-random baseline runs the same loop.
 """
 
 import math
@@ -23,13 +23,12 @@ from .core import (
     atomic_write_text,
     distortion,
     linear_index,
+    location_of,
     psnr,
 )
 from .features import compute_feature_matrix, measured_counts_grid
 from .recon import IdwParams, idw_from_neighbors, window_bounds
 from .regress import predict_batch
-
-SCORING_MODES = ("lazy", "full")
 
 
 class SourceQueryError(RuntimeError):
@@ -84,8 +83,6 @@ class RunConfig:
     checkpoint_densities: tuple = (0.10, 0.20, 0.30, 0.40)
     seed: int = 0
     idw: IdwParams = field(default_factory=IdwParams)
-    scoring: str = "lazy"
-    workers: int = 1
 
     def __post_init__(self):
         if not (0.0 < self.initial_density <= self.budget_density <= 1.0):
@@ -102,10 +99,6 @@ class RunConfig:
                 f"checkpoint densities {clash} round to the same whole percent, "
                 "so their mask/recon artifacts would overwrite each other"
             )
-        if self.scoring not in SCORING_MODES:
-            raise ValueError(f"scoring must be one of {SCORING_MODES}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         object.__setattr__(self, "checkpoint_densities", cps)
 
 
@@ -144,82 +137,58 @@ class SamplingRun:
         return len(self.history)
 
 
-def _score_rows(model, state, rows: np.ndarray) -> np.ndarray:
-    """Predicted ERD for the given state rows (canonical descriptor pipeline)."""
-    lins = state.unmeasured[rows]
-    rr, cc = np.divmod(lins, state.width)
-    raw = compute_feature_matrix(
-        state.recon_flat.reshape(state.height, state.width),
-        rr,
-        cc,
-        state.comp[rows],
-        state.value_flat,
-        state.cnt[rr, cc],
-        state.params,
-    )
-    return predict_batch(model, raw)
+def _argmax(state, scores: np.ndarray):
+    """(location, score) of the max-score active row, ties to the lowest index."""
+    top = np.max(scores[state.active])
+    lin = int(state.unmeasured[state.active & (scores == top)].min())
+    return location_of(lin, state.width), float(top)
 
 
-def _score_rows_parallel(model, state, rows: np.ndarray, workers: int) -> np.ndarray:
-    if workers <= 1 or rows.size < 2 * workers:
-        return _score_rows(model, state, rows)
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunks = np.array_split(rows, workers)
-    out = np.empty(rows.size)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda ch: _score_rows(model, state, ch), chunks))
-    pos = 0
-    for ch, res in zip(chunks, results):
-        out[pos : pos + ch.size] = res
-        pos += ch.size
-    return out
-
-
-class _GreedyState:
-    """Incremental mirror of (neighbors, counts, reconstruction, scores).
+class ReconState:
+    """Incremental (neighbours, window counts, reconstruction) of a measurement set.
 
     Row i describes the i-th initially-unmeasured pixel; rows go inactive as
-    pixels are measured.  All updates reproduce, bit for bit, what a from-
-    scratch rebuild would compute.
+    pixels are measured.  Neighbour composites and window counts stay equal,
+    bit for bit, to what a from-scratch rebuild would compute.  The
+    reconstruction starts as the IDW estimate, or as recon when one is given,
+    and each measurement re-estimates it inside its window only.
     """
 
-    def __init__(
-        self,
-        mset: MeasurementSet,
-        params: IdwParams,
-        model=None,
-        workers: int = 1,
-        scoring: str = "lazy",
-    ):
+    def __init__(self, mset: MeasurementSet, params: IdwParams, recon: Reconstruction = None):
         neighbors.check_grid_capacity(mset.width, mset.height)
         if mset.k == 0:
             raise ValueError("measurement set is empty")
         self.mset = mset
         self.params = params
-        self.model = model
-        self.workers = workers
-        self.scoring_full = scoring == "full"
         self.width = mset.width
         self.height = mset.height
         self.n = mset.width * mset.height
         self.unmeasured = mset.unmeasured_indices()
         self.active = np.ones(self.unmeasured.size, dtype=bool)
-        self._row_of = np.full(self.n, -1, dtype=np.int64)
-        self._row_of[self.unmeasured] = np.arange(self.unmeasured.size)
+        self.row_of = np.full(self.n, -1, dtype=np.int64)
+        self.row_of[self.unmeasured] = np.arange(self.unmeasured.size)
         self.comp = neighbors.knn_measured(
             self.unmeasured, mset.measured_indices(), self.width, self.height, params.neighbors
         )
         self.value_flat = mset.value_grid().ravel().copy()
-        self.recon_flat = self.value_flat.copy()
-        self.recon_flat[self.unmeasured] = idw_from_neighbors(
-            self.comp, self.n, self.value_flat, params.power
-        )
+        if recon is None:
+            self.recon_flat = self.value_flat.copy()
+            self.recon_flat[self.unmeasured] = idw_from_neighbors(
+                self.comp, self.n, self.value_flat, params.power
+            )
+        else:
+            self.recon_flat = recon.values.ravel().copy()
         self.cnt = measured_counts_grid(mset.mask, params.window)
-        self.scores = np.full(self.unmeasured.size, -np.inf)
-        if model is not None and self.unmeasured.size:
-            rows = np.flatnonzero(self.active)
-            self.scores[rows] = _score_rows_parallel(model, self, rows, workers)
+
+    def row(self, loc) -> int:
+        """State row of the unmeasured pixel at loc."""
+        loc = PixelLocation(int(loc[0]), int(loc[1]))
+        if not (0 <= loc.row < self.height and 0 <= loc.col < self.width):
+            raise ValueError(f"{loc} outside {self.width}x{self.height} grid")
+        row = int(self.row_of[linear_index(loc, self.width)])
+        if row < 0 or not self.active[row]:
+            raise ValueError(f"{loc} is already measured")
+        return row
 
     def reconstruction(self) -> Reconstruction:
         return Reconstruction(
@@ -228,24 +197,25 @@ class _GreedyState:
             values=self.recon_flat.reshape(self.height, self.width).copy(),
         )
 
-    def best(self):
-        """(location, score) of the max-score active row, ties to lowest index."""
-        if not np.any(self.active):
-            raise ValueError("image fully measured")
-        top = np.max(self.scores[self.active])
-        tied = self.unmeasured[self.active & (self.scores == top)]
-        lin = int(tied.min())
-        return PixelLocation(lin // self.width, lin % self.width), float(top)
+    def features(self, rows: np.ndarray) -> np.ndarray:
+        """Raw descriptor rows for state rows."""
+        rr, cc = np.divmod(self.unmeasured[rows], self.width)
+        return compute_feature_matrix(
+            self.recon_flat.reshape(self.height, self.width),
+            rr,
+            cc,
+            self.comp[rows],
+            self.value_flat,
+            self.cnt[rr, cc],
+            self.params,
+        )
 
-    def measure(self, loc, value: float) -> None:
-        loc = PixelLocation(int(loc[0]), int(loc[1]))
-        lin = linear_index(loc, self.width)
-        row = int(self._row_of[lin])
-        if row < 0 or not self.active[row]:
-            raise ValueError(f"{loc} is already measured")
+    def measure(self, loc, value: float) -> np.ndarray:
+        """Add a measurement; returns the rows whose neighbour lists changed."""
+        row = self.row(loc)
+        lin = int(self.unmeasured[row])
         self.mset.add(loc, value)
         self.active[row] = False
-        self.scores[row] = -np.inf
         self.value_flat[lin] = value
         self.recon_flat[lin] = value
 
@@ -259,31 +229,58 @@ class _GreedyState:
 
         # IDW values can change only where the neighbor list changed, but the
         # canonical update window matches the standalone incremental rebuild.
-        in_window = self._active_rows_in_box(loc, w)
+        in_window = self.active_rows_in_box(loc, w)
         if in_window.size:
             self.recon_flat[self.unmeasured[in_window]] = idw_from_neighbors(
                 self.comp[in_window], self.n, self.value_flat, self.params.power
             )
+        return affected
 
-        if self.model is None:
-            return
-        if self.mset.k >= self.n:
-            return
-        if self.scoring_full:
-            rows = np.flatnonzero(self.active)
-        else:
-            # descriptor inputs reach one pixel past the recon window
-            near = self._active_rows_in_box(loc, w + 1)
-            rows = np.union1d(affected, near)
-        if rows.size:
-            self.scores[rows] = _score_rows_parallel(self.model, self, rows, self.workers)
-
-    def _active_rows_in_box(self, loc, halfwidth: int) -> np.ndarray:
+    def active_rows_in_box(self, loc, halfwidth: int) -> np.ndarray:
         r0, r1, c0, c1 = window_bounds(loc, self.width, self.height, halfwidth)
         rr = self.unmeasured // self.width
         cc = self.unmeasured % self.width
         inside = self.active & (rr >= r0) & (rr <= r1) & (cc >= c0) & (cc <= c1)
         return np.flatnonzero(inside)
+
+
+class _Greedy:
+    """Argmax-ERD policy.  After a measurement only the rows whose descriptor
+    inputs could have changed are rescored: prediction is row-stable, so
+    that gives the scores a full rescoring would."""
+
+    def __init__(self, state: ReconState, model):
+        self.state = state
+        self.model = model
+        self.scores = np.full(state.unmeasured.size, -np.inf)
+        self._rescore(np.flatnonzero(state.active))
+
+    def _rescore(self, rows: np.ndarray) -> None:
+        if rows.size:
+            self.scores[rows] = predict_batch(self.model, self.state.features(rows))
+
+    def best(self):
+        return _argmax(self.state, self.scores)
+
+    def measured(self, loc, affected: np.ndarray) -> None:
+        # descriptor inputs reach one pixel past the recon window
+        near = self.state.active_rows_in_box(loc, self.state.params.window + 1)
+        self._rescore(np.union1d(affected, near))
+
+
+class _Random:
+    """Uniform draws without replacement: a prefix of one permutation of the
+    pixels left unmeasured by the seeds."""
+
+    def __init__(self, state: ReconState, rng):
+        self.width = state.width
+        self._order = iter(rng.permutation(state.unmeasured))
+
+    def best(self):
+        return location_of(int(next(self._order)), self.width), float("nan")
+
+    def measured(self, loc, affected: np.ndarray) -> None:
+        pass
 
 
 def select_next(model, recon: Reconstruction, mset: MeasurementSet, workers: int = 1):
@@ -297,37 +294,22 @@ def select_next(model, recon: Reconstruction, mset: MeasurementSet, workers: int
         raise ValueError("reconstruction and measurement set dimensions differ")
     if mset.k < 1:
         raise ValueError("at least one measurement required")
-    unmeasured = mset.unmeasured_indices()
-    if unmeasured.size == 0:
+    if mset.k == mset.width * mset.height:
         raise ValueError("image fully measured")
-    params = model.idw
-    comp = neighbors.knn_measured(
-        unmeasured, mset.measured_indices(), mset.width, mset.height, params.neighbors
-    )
-    counts = measured_counts_grid(mset.mask, params.window)
-    value_flat = mset.value_grid().ravel()
-    rr, cc = np.divmod(unmeasured, mset.width)
+    state = ReconState(mset, model.idw, recon)
+    rows = np.arange(state.unmeasured.size)
 
-    def score_chunk(sl):
-        raw = compute_feature_matrix(
-            recon.values, rr[sl], cc[sl], comp[sl], value_flat, counts[rr[sl], cc[sl]], params
-        )
-        return predict_batch(model, raw)
+    def score(chunk):
+        return predict_batch(model, state.features(chunk))
 
-    if workers <= 1 or unmeasured.size < 2 * workers:
-        scores = score_chunk(slice(None))
+    if workers <= 1 or rows.size < 2 * workers:
+        scores = score(rows)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        bounds = np.linspace(0, unmeasured.size, workers + 1).astype(int)
-        slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(score_chunk, slices))
-        scores = np.concatenate(parts)
-
-    top = scores.max()
-    lin = int(unmeasured[scores == top].min())
-    return PixelLocation(lin // mset.width, lin % mset.width), float(top)
+            scores = np.concatenate(list(pool.map(score, np.array_split(rows, workers))))
+    return _argmax(state, scores)
 
 
 def _query(source, loc, step: int) -> float:
@@ -342,20 +324,6 @@ def _query(source, loc, step: int) -> float:
     return value
 
 
-def _seed_measurements(source, config: RunConfig, history: list) -> MeasurementSet:
-    n = source.width * source.height
-    k0 = math.ceil(config.initial_density * n)
-    rng = np.random.default_rng(config.seed)
-    chosen = rng.choice(n, size=k0, replace=False)
-    mset = MeasurementSet(width=source.width, height=source.height)
-    for i, lin in enumerate(chosen):
-        loc = PixelLocation(int(lin) // source.width, int(lin) % source.width)
-        value = _query(source, loc, i + 1)
-        mset.add(loc, value)
-        history.append(HistoryEntry(i + 1, loc, value, float("nan")))
-    return mset
-
-
 class _CheckpointTracker:
     def __init__(self, config: RunConfig, n: int, ground_truth):
         self.thresholds = [(d, math.ceil(d * n)) for d in config.checkpoint_densities]
@@ -363,7 +331,8 @@ class _CheckpointTracker:
         self.truth = ground_truth
         self.out = []
 
-    def poll(self, state: _GreedyState, k: int, elapsed_s: float) -> None:
+    def poll(self, state: ReconState, elapsed_s: float) -> None:
+        k = state.mset.k
         while self.next_idx < len(self.thresholds) and k >= self.thresholds[self.next_idx][1]:
             density, _ = self.thresholds[self.next_idx]
             recon = state.reconstruction()
@@ -386,7 +355,40 @@ class _CheckpointTracker:
             self.next_idx += 1
 
 
-def _finish(config, state, history, tracker, wall: float) -> SamplingRun:
+def _sample(source, config: RunConfig, ground_truth, policy) -> SamplingRun:
+    """Seed uniformly, then measure the policy's choices until the budget.
+
+    policy(state, rng) builds the selector once the seeds are in; rng is the
+    generator that drew them.
+    """
+    if ground_truth is not None and (
+        ground_truth.width != source.width or ground_truth.height != source.height
+    ):
+        raise ValueError("ground truth and source dimensions differ")
+    n = source.width * source.height
+    budget_k = math.ceil(config.budget_density * n)
+    rng = np.random.default_rng(config.seed)
+    chosen = rng.choice(n, size=math.ceil(config.initial_density * n), replace=False)
+    mset = MeasurementSet(width=source.width, height=source.height)
+    history = []
+    for lin in chosen:
+        loc = location_of(int(lin), source.width)
+        value = _query(source, loc, mset.k + 1)
+        mset.add(loc, value)
+        history.append(HistoryEntry(mset.k, loc, value, float("nan")))
+    state = ReconState(mset, config.idw)
+    chooser = policy(state, rng)
+    tracker = _CheckpointTracker(config, n, ground_truth)
+    tracker.poll(state, 0.0)
+
+    t0 = time.perf_counter()
+    while mset.k < budget_k:
+        loc, erd = chooser.best()
+        value = _query(source, loc, mset.k + 1)
+        chooser.measured(loc, state.measure(loc, value))
+        history.append(HistoryEntry(mset.k, loc, value, erd))
+        tracker.poll(state, time.perf_counter() - t0)
+    wall = time.perf_counter() - t0
     return SamplingRun(
         config=config,
         width=state.width,
@@ -394,7 +396,7 @@ def _finish(config, state, history, tracker, wall: float) -> SamplingRun:
         history=history,
         checkpoints=tracker.out,
         final_reconstruction=state.reconstruction(),
-        final_mask=state.mset.mask.copy(),
+        final_mask=mset.mask.copy(),
         wall_time_s=wall,
     )
 
@@ -403,65 +405,14 @@ def run_sampling(
     source, model, config: RunConfig, ground_truth: GroundTruthImage = None
 ) -> SamplingRun:
     """Seed, then greedily measure argmax-ERD pixels until the budget."""
-    if ground_truth is not None and (
-        ground_truth.width != source.width or ground_truth.height != source.height
-    ):
-        raise ValueError("ground truth and source dimensions differ")
-    n = source.width * source.height
-    budget_k = math.ceil(config.budget_density * n)
-    history = []
-    mset = _seed_measurements(source, config, history)
-    state = _GreedyState(
-        mset, config.idw, model=model, workers=config.workers, scoring=config.scoring
-    )
-    tracker = _CheckpointTracker(config, n, ground_truth)
-    tracker.poll(state, mset.k, 0.0)
-
-    t0 = time.perf_counter()
-    while mset.k < budget_k:
-        loc, erd = state.best()
-        value = _query(source, loc, mset.k + 1)
-        state.measure(loc, value)
-        history.append(HistoryEntry(mset.k, loc, value, erd))
-        tracker.poll(state, mset.k, time.perf_counter() - t0)
-    wall = time.perf_counter() - t0
-    return _finish(config, state, history, tracker, wall)
+    return _sample(source, config, ground_truth, lambda state, rng: _Greedy(state, model))
 
 
 def run_random_baseline(
     source, config: RunConfig, ground_truth: GroundTruthImage = None
 ) -> SamplingRun:
-    """Same loop shape, but locations drawn uniformly without replacement."""
-    if ground_truth is not None and (
-        ground_truth.width != source.width or ground_truth.height != source.height
-    ):
-        raise ValueError("ground truth and source dimensions differ")
-    n = source.width * source.height
-    budget_k = math.ceil(config.budget_density * n)
-    history = []
-    rng = np.random.default_rng(config.seed)
-    k0 = math.ceil(config.initial_density * n)
-    chosen = rng.choice(n, size=k0, replace=False)
-    mset = MeasurementSet(width=source.width, height=source.height)
-    for i, lin in enumerate(chosen):
-        loc = PixelLocation(int(lin) // source.width, int(lin) % source.width)
-        value = _query(source, loc, i + 1)
-        mset.add(loc, value)
-        history.append(HistoryEntry(i + 1, loc, value, float("nan")))
-    state = _GreedyState(mset, config.idw, model=None, workers=1)
-    tracker = _CheckpointTracker(config, n, ground_truth)
-    tracker.poll(state, mset.k, 0.0)
-
-    order = rng.permutation(mset.unmeasured_indices())
-    t0 = time.perf_counter()
-    for lin in order[: budget_k - mset.k]:
-        loc = PixelLocation(int(lin) // source.width, int(lin) % source.width)
-        value = _query(source, loc, mset.k + 1)
-        state.measure(loc, value)
-        history.append(HistoryEntry(mset.k, loc, value, float("nan")))
-        tracker.poll(state, mset.k, time.perf_counter() - t0)
-    wall = time.perf_counter() - t0
-    return _finish(config, state, history, tracker, wall)
+    """Same loop, but locations drawn uniformly without replacement."""
+    return _sample(source, config, ground_truth, _Random)
 
 
 def save_history_csv(run: SamplingRun, path) -> None:

@@ -1,10 +1,10 @@
 """Low-level numeric helpers with strict determinism guarantees.
 
-Greedy selection and the lazy rescoring path require that scoring a subset of
-candidate rows produces bit-identical numbers to scoring the full batch.  A
-plain BLAS matmul does not guarantee that: its kernel, blocking and reduction
-order can depend on the batch shape, so a row's bits change with the rows
-around it.  Two techniques avoid that here:
+Lazy rescoring in the greedy loop and the threaded chunks of ``select_next``
+require that scoring a subset of candidate rows produces bit-identical
+numbers to scoring the full batch.  A plain BLAS matmul does not guarantee
+that: its kernel, blocking and reduction order can depend on the batch
+shape, so a row's bits change with the rows around it.  Two techniques avoid that here:
 
 - ``stable_matmul`` (the MLP forward pass) pushes rows through ``np.matmul``
   in zero-padded tiles of one fixed shape, ``ROW_TILE`` rows, so every call

@@ -18,11 +18,12 @@ from .core import (
     MeasurementSet,
     PixelLocation,
     atomic_write_text,
-    linear_index,
 )
-from .features import FEATURE_COUNT, compute_feature_matrix, fit_stats, measured_counts_grid, standardize
+from .engine import ReconState
+from .features import FEATURE_COUNT, fit_stats, standardize
+from .features import compute_feature_matrix  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .numerics import exact_abs_sum
-from .recon import IdwParams, idw_from_neighbors, reconstruct, window_bounds
+from .recon import IdwParams, idw_from_neighbors, window_bounds
 from .regress import ErdModel
 from .regress.linear import fit_linear
 from .regress.mlp import MlpConfig, fit_mlp
@@ -81,92 +82,67 @@ class TrainingDatabase:
 class RdEvaluator:
     """Scores many candidates against one fixed measurement set.
 
-    Builds the canonical neighbor state and the current reconstruction once,
-    then evaluates each candidate by splicing it in incrementally.  Results
-    are bit-identical to rebuilding everything per candidate.
+    Builds the reconstruction state once, then evaluates each candidate by
+    splicing it into a copy of the neighbour lists.  Results are
+    bit-identical to rebuilding everything per candidate.
     """
 
     def __init__(self, image: GroundTruthImage, mset: MeasurementSet, params: IdwParams):
         if (image.width, image.height) != (mset.width, mset.height):
             raise ValueError("image and measurement set dimensions differ")
-        if mset.k == 0:
-            raise ValueError("measurement set is empty")
-        neighbors.check_grid_capacity(mset.width, mset.height)
-        self.image = image
-        self.mset = mset
-        self.params = params
-        self.width = mset.width
-        self.height = mset.height
-        self.n = mset.width * mset.height
-        self.unmeasured = mset.unmeasured_indices()
-        if self.unmeasured.size == 0:
+        self.state = ReconState(mset, params)
+        if self.state.unmeasured.size == 0:
             raise ValueError("no unmeasured pixels to evaluate")
-        self._row_of = np.full(self.n, -1, dtype=np.int64)
-        self._row_of[self.unmeasured] = np.arange(self.unmeasured.size)
-        self.comp = neighbors.knn_measured(
-            self.unmeasured, mset.measured_indices(), mset.width, mset.height, params.neighbors
-        )
-        self._value_flat = mset.value_grid().ravel().copy()
-        self.recon_flat = self._value_flat.copy()
-        self.recon_flat[self.unmeasured] = idw_from_neighbors(
-            self.comp, self.n, self._value_flat, params.power
-        )
         self._truth_flat = image.values.ravel()
-        self._active = np.ones(self.unmeasured.size, dtype=bool)
 
-    def _candidate_row(self, s) -> int:
-        s = PixelLocation(int(s[0]), int(s[1]))
-        if not (0 <= s.row < self.height and 0 <= s.col < self.width):
-            raise ValueError(f"{s} outside {self.width}x{self.height} grid")
-        lin = linear_index(s, self.width)
-        row = int(self._row_of[lin])
-        if row < 0:
-            raise ValueError(f"{s} is already measured")
-        return row
+    @property
+    def unmeasured(self) -> np.ndarray:
+        return self.state.unmeasured
 
     def _rd(self, s, halfwidth) -> float:
         """Shared windowed pipeline; halfwidth None means the whole image."""
-        row = self._candidate_row(s)
-        s = PixelLocation(int(s[0]), int(s[1]))
-        s_lin = linear_index(s, self.width)
-        truth_val = float(self.image.values[s.row, s.col])
+        st = self.state
+        row = st.row(s)
+        s_lin = int(st.unmeasured[row])
+        s = divmod(s_lin, st.width)
+        truth_val = float(self._truth_flat[s_lin])
 
         if halfwidth is None:
             win = slice(None)
         else:
-            r0, r1, c0, c1 = window_bounds(s, self.width, self.height, halfwidth)
+            r0, r1, c0, c1 = window_bounds(s, st.width, st.height, halfwidth)
             grid_rows = np.arange(r0, r1 + 1)
-            win = (grid_rows[:, None] * self.width + np.arange(c0, c1 + 1)[None, :]).ravel()
+            win = (grid_rows[:, None] * st.width + np.arange(c0, c1 + 1)[None, :]).ravel()
 
         # neighbor sets that gain the candidate, restricted to the window
-        comp_after = self.comp.copy()
-        self._active[row] = False
+        comp_after = st.comp.copy()
+        st.active[row] = False
         affected = neighbors.insert_measurement(
-            comp_after, self.unmeasured, s_lin, self.width, self.height, self._active
+            comp_after, st.unmeasured, s_lin, st.width, st.height, st.active
         )
-        self._active[row] = True
+        st.active[row] = True
 
         if halfwidth is not None:
-            aff_lin = self.unmeasured[affected]
+            aff_lin = st.unmeasured[affected]
             inside = (
-                (aff_lin // self.width >= r0)
-                & (aff_lin // self.width <= r1)
-                & (aff_lin % self.width >= c0)
-                & (aff_lin % self.width <= c1)
+                (aff_lin // st.width >= r0)
+                & (aff_lin // st.width <= r1)
+                & (aff_lin % st.width >= c0)
+                & (aff_lin % st.width <= c1)
             )
             affected = affected[inside]
 
-        after_flat = self.recon_flat.copy()
+        after_flat = st.recon_flat.copy()
         after_flat[s_lin] = truth_val
         if affected.size:
-            saved = self._value_flat[s_lin]
-            self._value_flat[s_lin] = truth_val
-            after_flat[self.unmeasured[affected]] = idw_from_neighbors(
-                comp_after[affected], self.n, self._value_flat, self.params.power
+            saved = st.value_flat[s_lin]
+            st.value_flat[s_lin] = truth_val
+            after_flat[st.unmeasured[affected]] = idw_from_neighbors(
+                comp_after[affected], st.n, st.value_flat, st.params.power
             )
-            self._value_flat[s_lin] = saved
+            st.value_flat[s_lin] = saved
 
-        before = exact_abs_sum(self._truth_flat[win], self.recon_flat[win])
+        before = exact_abs_sum(self._truth_flat[win], st.recon_flat[win])
         after = exact_abs_sum(self._truth_flat[win], after_flat[win])
         return before - after
 
@@ -182,21 +158,10 @@ class RdEvaluator:
 
     def feature_matrix(self, candidate_indices: np.ndarray) -> np.ndarray:
         """Raw descriptor rows for unmeasured pixels given as linear indices."""
-        cand = np.asarray(candidate_indices, dtype=np.int64)
-        rows_in_state = self._row_of[cand]
-        if np.any(rows_in_state < 0):
+        rows = self.state.row_of[np.asarray(candidate_indices, dtype=np.int64)]
+        if np.any(rows < 0):
             raise ValueError("candidates must be unmeasured")
-        counts = measured_counts_grid(self.mset.mask, self.params.window)
-        rr, cc = np.divmod(cand, self.width)
-        return compute_feature_matrix(
-            self.recon_flat.reshape(self.height, self.width),
-            rr,
-            cc,
-            self.comp[rows_in_state],
-            self._value_flat,
-            counts[rr, cc],
-            self.params,
-        )
+        return self.state.features(rows)
 
 
 def rd_exact(image: GroundTruthImage, mset: MeasurementSet, s, params: IdwParams) -> float:

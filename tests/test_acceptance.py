@@ -71,7 +71,6 @@ def psnr_at_40(model, image, seed, initial=0.05):
         checkpoint_densities=(0.40,),
         seed=seed,
         idw=model.idw if model is not None else IdwParams(),
-        workers=1,
     )
     source = SimulatedSource(image, noise_sigma=0.0, seed=seed)
     if model is None:
@@ -324,7 +323,7 @@ def test_criterion_8_determinism(tmp_path):
     image = blob_image(size=24, seed=21)
     config = RunConfig(
         initial_density=0.05, budget_density=0.25, checkpoint_densities=(0.25,),
-        seed=5, idw=PARAMS, workers=1,
+        seed=5, idw=PARAMS,
     )
     from sparsescan.regress import load_model
 
@@ -381,7 +380,7 @@ def test_criterion_9_runtime_envelope(big_models):
     def timed_run(model):
         config = RunConfig(
             initial_density=0.01, budget_density=0.40, checkpoint_densities=(0.40,),
-            seed=0, idw=model.idw, workers=1,
+            seed=0, idw=model.idw,
         )
         source = SimulatedSource(image, noise_sigma=0.0, seed=0)
         t0 = time.perf_counter()

@@ -540,6 +540,28 @@ class TestEval:
         assert not (tmp_path / "x.csv").exists()
         capsys.readouterr()
 
+    def test_methods_sharing_a_label_are_usage_error(self, workdir, tmp_path, monkeypatch, capsys):
+        # labels are file names without extension; two methods under one label
+        # would be pooled into one set of report rows
+        def no_runs(task):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr("sparsescan.cli._eval_one", no_runs)
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            shutil.copy(workdir / "m.slnm", tmp_path / sub / "m.slnm")
+        shutil.copy(workdir / "m.slnm", tmp_path / "random.slnm")
+        image = workdir / "test_img.pgm"
+        out = tmp_path / "x.csv"
+        for models, method in (
+            ([tmp_path / "a" / "m.slnm", tmp_path / "b" / "m.slnm"], ()),
+            ([tmp_path / "random.slnm"], ("--method", "random")),
+        ):
+            rc = run_cli("eval", "--model", *models, *method, "--image", image, "--out", out)
+            assert rc == EXIT_USAGE
+            assert "label" in capsys.readouterr().err
+            assert not out.exists() and not Path(f"{out}.cfg").exists()
+
 
 class TestPretrain:
     def test_builtin_texture_produces_runnable_model(self, workdir, tmp_path, capsys):

@@ -13,9 +13,11 @@ from sparsescan.core import (
     psnr,
 )
 from sparsescan.engine import (
+    ReconState,
     RunConfig,
     SimulatedSource,
     SourceQueryError,
+    _Greedy,
     run_random_baseline,
     run_sampling,
     save_checkpoint_artifacts,
@@ -24,7 +26,7 @@ from sparsescan.engine import (
 )
 from sparsescan.features import FeatureStats
 from sparsescan.recon import IdwParams, reconstruct
-from sparsescan.regress import ErdModel, LinearModel, MlpModel
+from sparsescan.regress import ErdModel, LinearModel, MlpModel, predict_batch
 from sparsescan.regress.mlp import init_params
 from sparsescan.synth import blob_image
 from sparsescan.training import TrainingSchedule, train_erd_model
@@ -115,10 +117,6 @@ class TestRunConfig:
             RunConfig(checkpoint_densities=(0.5,))  # beyond default budget
         with pytest.raises(ValueError):
             RunConfig(checkpoint_densities=(0.0, 0.4))
-        with pytest.raises(ValueError):
-            RunConfig(scoring="eager")
-        with pytest.raises(ValueError):
-            RunConfig(workers=0)
 
     def test_rejects_checkpoints_sharing_an_artifact_name(self):
         # artifacts are named by whole percent: 0.10 and 0.104 are both mask_010
@@ -255,48 +253,66 @@ class TestRunSampling:
             paths.append(p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_lazy_and_full_scoring_agree_exactly(self, trained_lsq, tmp_path):
-        image = blob_image(size=16, seed=10)
-        outs = []
-        for mode in ("lazy", "full"):
-            run = run_sampling(
-                SimulatedSource(image),
-                trained_lsq,
-                self.small_config(scoring=mode),
-                image,
-            )
-            p = tmp_path / f"{mode}.csv"
-            save_history_csv(run, p)
-            outs.append(p.read_bytes())
-        assert outs[0] == outs[1]
+    @staticmethod
+    def assert_each_step_matches_select_next(model, image, config):
+        """Drive the engine's state as run_sampling does.  At every step the
+        lazily rescored argmax must equal select_next, which rebuilds the
+        neighbour lists and window counts and rescores every row, against
+        the same reconstruction: location and predicted-ERD bits.  Every
+        kept score must equal a rescoring of a rebuilt state, bit for bit."""
+        assert config.idw == model.idw  # select_next reconstructs with the model's params
+        n = image.pixel_count
+        mset = seeded_mask(image, math.ceil(config.initial_density * n), config.seed)
+        state = ReconState(mset, config.idw)
+        policy = _Greedy(state, model)
+        erds = []
+        while mset.k < math.ceil(config.budget_density * n):
+            loc, erd = policy.best()
+            recon = state.reconstruction()
+            ref_loc, ref_erd = select_next(model, recon, mset)
+            assert (loc, erd.hex()) == (ref_loc, ref_erd.hex()), f"step {mset.k + 1}"
+            rebuilt = ReconState(mset, config.idw, recon)
+            full = predict_batch(model, rebuilt.features(np.flatnonzero(rebuilt.active)))
+            np.testing.assert_array_equal(policy.scores[state.active], full)
+            policy.measured(loc, state.measure(loc, float(image.values[loc])))
+            erds.append(erd)
+        # the steps replayed here are the ones run_sampling takes
+        run = run_sampling(SimulatedSource(image), model, config, image)
+        assert [(e.location, e.value) for e in run.history] == mset.entries
+        assert [e.predicted_erd for e in run.history[len(run.history) - len(erds) :]] == erds
+        return len(erds)
 
-    def test_lazy_and_full_scoring_agree_exactly_for_nn_at_64(self, tmp_path):
+    def test_each_step_matches_select_next(self, trained_lsq):
+        image = blob_image(size=16, seed=10)
+        assert self.assert_each_step_matches_select_next(trained_lsq, image, self.small_config())
+
+    def test_each_step_matches_select_next_with_two_neighbours(self):
+        # with two neighbours a new measurement changes few neighbour lists,
+        # so pixels one past the window are rescored only because their
+        # gradients read re-estimated pixels
+        params = IdwParams(neighbors=2, power=2.0, window=3)
+        model = linear_model([1.0, 1.0, 0.5, 0.5, 0.2, -1.0], params=params)
+        cfg = self.small_config(
+            initial_density=0.10, budget_density=0.20, checkpoint_densities=(), idw=params
+        )
+        assert self.assert_each_step_matches_select_next(model, blob_image(size=32, seed=3), cfg)
+
+    def test_each_step_matches_select_next_for_nn_at_64(self):
         # untrained weights are enough: the property is about batching.  A
-        # small window keeps the lazy batches at tens of rows while full
-        # scoring pushes about 4,000 rows through the MLP's 256-row tiles.
+        # small window keeps the lazy batches at tens of rows while
+        # select_next pushes about 4,000 rows through the MLP's 256-row tiles.
         weights, biases = init_params(6, seed=4)
         model = ErdModel(
             kind="nn",
             payload=MlpModel(weights=tuple(weights), biases=tuple(biases), activation="relu"),
             stats=FeatureStats(means=np.zeros(6), stds=np.full(6, 20.0)),
-            idw=PARAMS,
+            idw=IdwParams(neighbors=10, power=2.0, window=3),
         )
-        image = blob_image(size=64, seed=12)
-        outs = []
-        for mode in ("lazy", "full"):
-            cfg = self.small_config(
-                initial_density=0.01,
-                budget_density=0.04,
-                checkpoint_densities=(),
-                idw=IdwParams(neighbors=10, power=2.0, window=3),
-                scoring=mode,
-            )
-            run = run_sampling(SimulatedSource(image), model, cfg, image)
-            p = tmp_path / f"{mode}.csv"
-            save_history_csv(run, p)
-            outs.append(p.read_bytes())
-        assert len(run.history) == math.ceil(0.04 * 64 * 64)
-        assert outs[0] == outs[1]
+        cfg = self.small_config(
+            initial_density=0.01, budget_density=0.04, checkpoint_densities=(), idw=model.idw
+        )
+        steps = self.assert_each_step_matches_select_next(model, blob_image(size=64, seed=12), cfg)
+        assert steps == math.ceil(0.04 * 64 * 64) - math.ceil(0.01 * 64 * 64)
 
     def test_checkpoints_fire_at_first_reaching_step(self, trained_lsq):
         image = blob_image(size=16, seed=11)
@@ -394,6 +410,13 @@ class TestRandomBaseline:
         assert len(locs) == math.ceil(0.25 * 256)
         assert len(set(locs)) == len(locs)
         assert all(math.isnan(e.predicted_erd) for e in run.history)
+        # independent replay: the seed draw, then a permutation of the rest
+        # (row-major order) from the same generator
+        rng = np.random.default_rng(5)
+        seeds = rng.choice(256, size=math.ceil(0.05 * 256), replace=False)
+        rest = np.setdiff1d(np.arange(256), seeds)
+        want = np.concatenate([seeds, rng.permutation(rest)])[: len(locs)]
+        assert [loc.row * 16 + loc.col for loc in locs] == want.tolist()
 
     def test_full_budget_reproduces_ground_truth(self):
         image = blob_image(size=12, seed=18)
@@ -446,3 +469,39 @@ class TestRandomBaseline:
         sigma = math.sqrt(1000 * 0.25 * 0.75)
         assert counts.sum() == 16 * 1000
         assert np.max(np.abs(counts - 250)) <= 3.0 * sigma
+
+
+class TestEdgeGrids:
+    SHAPES = ((1, 20), (20, 1), (7, 13), (2, 2))  # (height, width)
+
+    @staticmethod
+    def image(height, width):
+        rng = np.random.default_rng(height * 100 + width)
+        return GroundTruthImage(
+            width=width, height=height, values=rng.uniform(0.0, 255.0, (height, width))
+        )
+
+    @pytest.mark.parametrize("budget", (0.5, 1.0))
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("method", ("greedy", "random"))
+    def test_budget_is_met_on_thin_and_tiny_grids(self, trained_lsq, method, shape, budget):
+        image = self.image(*shape)
+        cfg = RunConfig(
+            initial_density=0.01,
+            budget_density=budget,
+            checkpoint_densities=(budget,),
+            seed=3,
+            idw=trained_lsq.idw,
+        )
+        src = SimulatedSource(image)
+        if method == "greedy":
+            run = run_sampling(src, trained_lsq, cfg, image)
+        else:
+            run = run_random_baseline(src, cfg, image)
+        locs = [e.location for e in run.history]
+        assert len(locs) == math.ceil(budget * image.pixel_count)
+        assert len(set(locs)) == len(locs)
+        assert all(0 <= r < shape[0] and 0 <= c < shape[1] for r, c in locs)
+        assert int(run.final_mask.sum()) == len(locs)
+        if budget == 1.0:
+            np.testing.assert_array_equal(run.final_reconstruction.values, image.values)
