@@ -135,7 +135,8 @@ class MeasurementSet:
         return len(self.entries)
 
     def __contains__(self, loc) -> bool:
-        return bool(self.mask[loc[0], loc[1]])
+        r, c = int(loc[0]), int(loc[1])
+        return 0 <= r < self.height and 0 <= c < self.width and bool(self.mask[r, c])
 
     def add(self, loc, value: float) -> None:
         loc = PixelLocation(int(loc[0]), int(loc[1]))

@@ -138,20 +138,21 @@ class SamplingRun:
 
 
 def _argmax(state, scores: np.ndarray):
-    """(location, score) of the max-score active row, ties to the lowest index."""
+    """(location, score) of the max-score active pixel, ties to the lowest index."""
     top = np.max(scores[state.active])
-    lin = int(state.unmeasured[state.active & (scores == top)].min())
+    lin = int(np.flatnonzero(state.active & (scores == top)).min())
     return location_of(lin, state.width), float(top)
 
 
 class ReconState:
     """Incremental (neighbours, window counts, reconstruction) of a measurement set.
 
-    Row i describes the i-th initially-unmeasured pixel; rows go inactive as
-    pixels are measured.  Neighbour composites and window counts stay equal,
-    bit for bit, to what a from-scratch rebuild would compute.  The
-    reconstruction starts as the IDW estimate, or as recon when one is given,
-    and each measurement re-estimates it inside its window only.
+    Every per-pixel array is indexed by pixel (linear index); active marks
+    the pixels still unmeasured, and rows of measured pixels are never read.
+    Neighbour composites and window counts stay equal, bit for bit, to what
+    a from-scratch rebuild would compute.  The reconstruction starts as the
+    IDW estimate, or as recon when one is given, and each measurement
+    re-estimates it inside its window only.
     """
 
     def __init__(self, mset: MeasurementSet, params: IdwParams, recon: Reconstruction = None):
@@ -163,32 +164,32 @@ class ReconState:
         self.width = mset.width
         self.height = mset.height
         self.n = mset.width * mset.height
-        self.unmeasured = mset.unmeasured_indices()
-        self.active = np.ones(self.unmeasured.size, dtype=bool)
-        self.row_of = np.full(self.n, -1, dtype=np.int64)
-        self.row_of[self.unmeasured] = np.arange(self.unmeasured.size)
-        self.comp = neighbors.knn_measured(
-            self.unmeasured, mset.measured_indices(), self.width, self.height, params.neighbors
+        self.active = ~mset.mask.ravel()
+        unmeasured = np.flatnonzero(self.active)
+        comp = neighbors.knn_measured(
+            unmeasured, mset.measured_indices(), self.width, self.height, params.neighbors
         )
+        self.comp = np.zeros((self.n, params.neighbors), dtype=np.int64)
+        self.comp[unmeasured] = comp
         self.value_flat = mset.value_grid().ravel().copy()
         if recon is None:
             self.recon_flat = self.value_flat.copy()
-            self.recon_flat[self.unmeasured] = idw_from_neighbors(
-                self.comp, self.n, self.value_flat, params.power
+            self.recon_flat[unmeasured] = idw_from_neighbors(
+                comp, self.n, self.value_flat, params.power
             )
         else:
             self.recon_flat = recon.values.ravel().copy()
         self.cnt = measured_counts_grid(mset.mask, params.window)
 
     def row(self, loc) -> int:
-        """State row of the unmeasured pixel at loc."""
+        """Linear index of the unmeasured pixel at loc."""
         loc = PixelLocation(int(loc[0]), int(loc[1]))
         if not (0 <= loc.row < self.height and 0 <= loc.col < self.width):
             raise ValueError(f"{loc} outside {self.width}x{self.height} grid")
-        row = int(self.row_of[linear_index(loc, self.width)])
-        if row < 0 or not self.active[row]:
+        lin = linear_index(loc, self.width)
+        if not self.active[lin]:
             raise ValueError(f"{loc} is already measured")
-        return row
+        return lin
 
     def reconstruction(self) -> Reconstruction:
         return Reconstruction(
@@ -197,25 +198,24 @@ class ReconState:
             values=self.recon_flat.reshape(self.height, self.width).copy(),
         )
 
-    def features(self, rows: np.ndarray) -> np.ndarray:
-        """Raw descriptor rows for state rows."""
-        rr, cc = np.divmod(self.unmeasured[rows], self.width)
+    def features(self, pixels: np.ndarray) -> np.ndarray:
+        """Raw descriptor rows for unmeasured pixels given as linear indices."""
+        rr, cc = np.divmod(pixels, self.width)
         return compute_feature_matrix(
             self.recon_flat.reshape(self.height, self.width),
             rr,
             cc,
-            self.comp[rows],
+            self.comp[pixels],
             self.value_flat,
             self.cnt[rr, cc],
             self.params,
         )
 
     def measure(self, loc, value: float) -> np.ndarray:
-        """Add a measurement; returns the rows whose neighbour lists changed."""
-        row = self.row(loc)
-        lin = int(self.unmeasured[row])
+        """Add a measurement; returns the pixels whose neighbour lists changed."""
+        lin = self.row(loc)
         self.mset.add(loc, value)
-        self.active[row] = False
+        self.active[lin] = False
         self.value_flat[lin] = value
         self.recon_flat[lin] = value
 
@@ -224,40 +224,40 @@ class ReconState:
         self.cnt[r0 : r1 + 1, c0 : c1 + 1] += 1
 
         affected = neighbors.insert_measurement(
-            self.comp, self.unmeasured, lin, self.width, self.height, self.active
+            self.comp, np.arange(self.n), lin, self.width, self.height, self.active
         )
 
         # IDW values can change only where the neighbor list changed, but the
         # canonical update window matches the standalone incremental rebuild.
         in_window = self.active_rows_in_box(loc, w)
         if in_window.size:
-            self.recon_flat[self.unmeasured[in_window]] = idw_from_neighbors(
+            self.recon_flat[in_window] = idw_from_neighbors(
                 self.comp[in_window], self.n, self.value_flat, self.params.power
             )
         return affected
 
     def active_rows_in_box(self, loc, halfwidth: int) -> np.ndarray:
+        """Unmeasured pixels inside the box, in ascending linear order."""
         r0, r1, c0, c1 = window_bounds(loc, self.width, self.height, halfwidth)
-        rr = self.unmeasured // self.width
-        cc = self.unmeasured % self.width
-        inside = self.active & (rr >= r0) & (rr <= r1) & (cc >= c0) & (cc <= c1)
-        return np.flatnonzero(inside)
+        box = self.active.reshape(self.height, self.width)[r0 : r1 + 1, c0 : c1 + 1]
+        rr, cc = np.nonzero(box)
+        return (rr + r0) * self.width + (cc + c0)
 
 
 class _Greedy:
-    """Argmax-ERD policy.  After a measurement only the rows whose descriptor
+    """Argmax-ERD policy.  After a measurement only the pixels whose descriptor
     inputs could have changed are rescored: prediction is row-stable, so
     that gives the scores a full rescoring would."""
 
     def __init__(self, state: ReconState, model):
         self.state = state
         self.model = model
-        self.scores = np.full(state.unmeasured.size, -np.inf)
+        self.scores = np.full(state.n, -np.inf)
         self._rescore(np.flatnonzero(state.active))
 
-    def _rescore(self, rows: np.ndarray) -> None:
-        if rows.size:
-            self.scores[rows] = predict_batch(self.model, self.state.features(rows))
+    def _rescore(self, pixels: np.ndarray) -> None:
+        if pixels.size:
+            self.scores[pixels] = predict_batch(self.model, self.state.features(pixels))
 
     def best(self):
         return _argmax(self.state, self.scores)
@@ -274,7 +274,7 @@ class _Random:
 
     def __init__(self, state: ReconState, rng):
         self.width = state.width
-        self._order = iter(rng.permutation(state.unmeasured))
+        self._order = iter(rng.permutation(np.flatnonzero(state.active)))
 
     def best(self):
         return location_of(int(next(self._order)), self.width), float("nan")
@@ -297,18 +297,19 @@ def select_next(model, recon: Reconstruction, mset: MeasurementSet, workers: int
     if mset.k == mset.width * mset.height:
         raise ValueError("image fully measured")
     state = ReconState(mset, model.idw, recon)
-    rows = np.arange(state.unmeasured.size)
+    pixels = np.flatnonzero(state.active)
 
     def score(chunk):
         return predict_batch(model, state.features(chunk))
 
-    if workers <= 1 or rows.size < 2 * workers:
-        scores = score(rows)
+    scores = np.full(state.n, -np.inf)
+    if workers <= 1 or pixels.size < 2 * workers:
+        scores[pixels] = score(pixels)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            scores = np.concatenate(list(pool.map(score, np.array_split(rows, workers))))
+            scores[pixels] = np.concatenate(list(pool.map(score, np.array_split(pixels, workers))))
     return _argmax(state, scores)
 
 

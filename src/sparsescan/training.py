@@ -82,73 +82,58 @@ class TrainingDatabase:
 class RdEvaluator:
     """Scores many candidates against one fixed measurement set.
 
-    Builds the reconstruction state once, then evaluates each candidate by
-    splicing it into a copy of the neighbour lists.  Results are
-    bit-identical to rebuilding everything per candidate.
+    Builds the reconstruction state, indexed by pixel, once.  Each candidate
+    is then evaluated on copies of the window's rows alone: the candidate is
+    spliced into those neighbour lists and the changed pixels re-estimated.
+    Results are bit-identical to rebuilding everything per candidate.
     """
 
     def __init__(self, image: GroundTruthImage, mset: MeasurementSet, params: IdwParams):
         if (image.width, image.height) != (mset.width, mset.height):
             raise ValueError("image and measurement set dimensions differ")
         self.state = ReconState(mset, params)
-        if self.state.unmeasured.size == 0:
+        if not self.state.active.any():
             raise ValueError("no unmeasured pixels to evaluate")
         self._truth_flat = image.values.ravel()
 
     @property
     def unmeasured(self) -> np.ndarray:
-        return self.state.unmeasured
+        return np.flatnonzero(self.state.active)
 
-    def _rd(self, s, halfwidth) -> float:
-        """Shared windowed pipeline; halfwidth None means the whole image."""
+    def _rd(self, s, halfwidth: int) -> float:
+        """RD inside the (2*halfwidth+1)^2 window centered on s."""
         st = self.state
-        row = st.row(s)
-        s_lin = int(st.unmeasured[row])
-        s = divmod(s_lin, st.width)
+        s_lin = st.row(s)
         truth_val = float(self._truth_flat[s_lin])
+        r0, r1, c0, c1 = window_bounds(divmod(s_lin, st.width), st.width, st.height, halfwidth)
+        win = (np.arange(r0, r1 + 1)[:, None] * st.width + np.arange(c0, c1 + 1)[None, :]).ravel()
+        s_pos = int(np.searchsorted(win, s_lin))
 
-        if halfwidth is None:
-            win = slice(None)
-        else:
-            r0, r1, c0, c1 = window_bounds(s, st.width, st.height, halfwidth)
-            grid_rows = np.arange(r0, r1 + 1)
-            win = (grid_rows[:, None] * st.width + np.arange(c0, c1 + 1)[None, :]).ravel()
-
-        # neighbor sets that gain the candidate, restricted to the window
-        comp_after = st.comp.copy()
-        st.active[row] = False
+        # neighbour lists of the window's pixels that gain the candidate
+        comp_after = st.comp[win]
+        active = st.active[win]
+        active[s_pos] = False
         affected = neighbors.insert_measurement(
-            comp_after, st.unmeasured, s_lin, st.width, st.height, st.active
+            comp_after, win, s_lin, st.width, st.height, active
         )
-        st.active[row] = True
 
-        if halfwidth is not None:
-            aff_lin = st.unmeasured[affected]
-            inside = (
-                (aff_lin // st.width >= r0)
-                & (aff_lin // st.width <= r1)
-                & (aff_lin % st.width >= c0)
-                & (aff_lin % st.width <= c1)
-            )
-            affected = affected[inside]
-
-        after_flat = st.recon_flat.copy()
-        after_flat[s_lin] = truth_val
+        recon_before = st.recon_flat[win]
+        after = recon_before.copy()
+        after[s_pos] = truth_val
         if affected.size:
             saved = st.value_flat[s_lin]
             st.value_flat[s_lin] = truth_val
-            after_flat[st.unmeasured[affected]] = idw_from_neighbors(
+            after[affected] = idw_from_neighbors(
                 comp_after[affected], st.n, st.value_flat, st.params.power
             )
             st.value_flat[s_lin] = saved
 
-        before = exact_abs_sum(self._truth_flat[win], st.recon_flat[win])
-        after = exact_abs_sum(self._truth_flat[win], after_flat[win])
-        return before - after
+        truth = self._truth_flat[win]
+        return exact_abs_sum(truth, recon_before) - exact_abs_sum(truth, after)
 
     def rd_exact(self, s) -> float:
         """Full-image RD from measuring s at its true value."""
-        return self._rd(s, None)
+        return self._rd(s, max(self.state.width, self.state.height))
 
     def rd_windowed(self, s, halfwidth: int) -> float:
         """RD confined to the (2w+1)^2 window centered on s."""
@@ -158,10 +143,12 @@ class RdEvaluator:
 
     def feature_matrix(self, candidate_indices: np.ndarray) -> np.ndarray:
         """Raw descriptor rows for unmeasured pixels given as linear indices."""
-        rows = self.state.row_of[np.asarray(candidate_indices, dtype=np.int64)]
-        if np.any(rows < 0):
+        pixels = np.asarray(candidate_indices, dtype=np.int64)
+        if np.any((pixels < 0) | (pixels >= self.state.n)):
+            raise ValueError("candidates must lie inside the grid")
+        if not np.all(self.state.active[pixels]):
             raise ValueError("candidates must be unmeasured")
-        return self.state.features(rows)
+        return self.state.features(pixels)
 
 
 def rd_exact(image: GroundTruthImage, mset: MeasurementSet, s, params: IdwParams) -> float:

@@ -86,6 +86,12 @@ class TestMeasurementSet:
         with pytest.raises(OutOfBoundsError):
             mset.add((0, 4), 1.0)
 
+    def test_out_of_grid_location_is_not_measured(self, mset):
+        mset.add((2, 0), 1.0)
+        assert (2, 0) in mset
+        for loc in [(-1, 0), (3, 0), (0, -1), (0, 4), (-1, -1)]:
+            assert loc not in mset
+
     def test_exhaustion(self, mset):
         for r in range(3):
             for c in range(4):

@@ -286,6 +286,13 @@ class TestRunSampling:
         image = blob_image(size=16, seed=10)
         assert self.assert_each_step_matches_select_next(trained_lsq, image, self.small_config())
 
+    def test_each_step_matches_select_next_on_non_square_grid(self, trained_lsq):
+        # 24 rows by 40 columns: reshapes and box slices must keep (h, w) apart
+        image = GroundTruthImage.from_array(blob_image(size=40).values[:24])
+        assert (image.height, image.width) == (24, 40)
+        cfg = self.small_config(budget_density=0.15, checkpoint_densities=())
+        assert self.assert_each_step_matches_select_next(trained_lsq, image, cfg)
+
     def test_each_step_matches_select_next_with_two_neighbours(self):
         # with two neighbours a new measurement changes few neighbour lists,
         # so pixels one past the window are rescored only because their

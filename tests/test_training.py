@@ -1,5 +1,7 @@
 """Tests for RD targets and training database generation."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
@@ -97,6 +99,17 @@ class TestRdHandCases:
         with pytest.raises(ValueError):
             rd_exact(img, mset, PixelLocation(1, 0), PARAMS)
 
+    def test_feature_matrix_rejects_out_of_grid_and_measured(self):
+        image = blob_image(size=16, seed=2)
+        mset = random_setup(image, 0.1, seed=0)
+        ev = RdEvaluator(image, mset, PARAMS)
+        assert ev.feature_matrix(ev.unmeasured[:3]).shape == (3, 6)
+        for bad in ([-1], [16 * 16], [int(ev.unmeasured[0]), -1]):
+            with pytest.raises(ValueError):
+                ev.feature_matrix(np.array(bad))
+        with pytest.raises(ValueError):
+            ev.feature_matrix(mset.measured_indices()[:1])
+
     def test_empty_and_saturated_sets_rejected(self):
         img = GroundTruthImage(width=2, height=2, values=np.zeros((2, 2)))
         with pytest.raises(ValueError):
@@ -153,6 +166,38 @@ class TestRdOracle:
             radius = int(np.max(np.maximum(np.abs(rows - s.row), np.abs(cols - s.col))))
             w = max(radius, 1)
             assert abs(ev.rd_windowed(s, w) - ev.rd_exact(s)) <= 1e-9
+
+    def test_windowed_equals_window_error_drop_bit_exactly(self):
+        # at every window size, including windows smaller than the update
+        # radius, the windowed RD is the drop in exactly summed absolute
+        # error inside the window between the two full reconstructions
+        size = 40
+        image = blob_image(size=size, seed=3)
+        mset = random_setup(image, 60 / size**2, seed=4)
+        before = reconstruct(mset, PARAMS).values
+        ev = RdEvaluator(image, mset, PARAMS)
+        rng = np.random.default_rng(5)
+        edges = [(0, 0), (0, size - 1), (size - 1, 0), (size - 1, size - 1)]
+        edges += [(0, 17), (size - 1, 22), (9, 0), (30, size - 1), (1, 1), (size - 2, 1)]
+        cands = [PixelLocation(r, c) for r, c in edges]
+        cands += [loc_of(l, size) for l in rng.choice(ev.unmeasured, size=40, replace=False)]
+        checked = 0
+        for s in cands:
+            if s in mset:
+                continue
+            grown = mset.copy()
+            grown.add(s, float(image.values[s]))
+            after = reconstruct(grown, PARAMS).values
+            for w in (1, 2, 3, 7, 15):
+                r0, c0 = max(s.row - w, 0), max(s.col - w, 0)
+                box = (slice(r0, s.row + w + 1), slice(c0, s.col + w + 1))
+                truth = image.values[box]
+                want = math.fsum(np.abs(truth - before[box]).ravel()) - math.fsum(
+                    np.abs(truth - after[box]).ravel()
+                )
+                assert ev.rd_windowed(s, w).hex() == want.hex(), (s, w)
+                checked += 1
+        assert checked >= 5 * 45
 
     def test_window_ranking_tracks_exact_ranking(self):
         image = blob_image(size=64, seed=7)
