@@ -6,6 +6,12 @@ reconstruction within the window around the new point.  Only pixels whose
 descriptor inputs could have changed are rescored, which gives the scores a
 full rescoring would: prediction is row-stable, so untouched rows keep
 identical bits.  The uniform-random baseline runs the same loop.
+
+A step touches only pixels the new measurement can reach.  Two per-image-row
+caches bound the work: the largest k-th-neighbour composite of each row
+limits which neighbour lists an insertion has to look at, and the largest
+score of each row lets the argmax skip rows nothing changed in.  So a step
+costs what the neighbour reach and the window cost, not what the image does.
 """
 
 import math
@@ -153,6 +159,15 @@ class ReconState:
     a from-scratch rebuild would compute.  The reconstruction starts as the
     IDW estimate, or as recon when one is given, and each measurement
     re-estimates it inside its window only.
+
+    reach[r] is the largest k-th-neighbour composite (comp[:, -1]) among the
+    active pixels of image row r, or -1 when the row has none.  A new pixel
+    enters the list of pixel p only if its composite d2 * N + index is below
+    comp[p, -1], which is at most reach[row of p].  So on each row only the
+    columns whose squared distance to the new pixel keeps the composite
+    below reach[r] can change, and an insertion looks at those alone.
+    Composites only fall, so after a measurement reach is recomputed for the
+    rows whose lists changed and for the row of the new pixel.
     """
 
     def __init__(self, mset: MeasurementSet, params: IdwParams, recon: Reconstruction = None):
@@ -180,6 +195,29 @@ class ReconState:
         else:
             self.recon_flat = recon.values.ravel().copy()
         self.cnt = measured_counts_grid(mset.mask, params.window)
+        self.reach = np.full(self.height, -1, dtype=np.int64)
+        self._update_reach(np.arange(self.height))
+
+    def _update_reach(self, rows: np.ndarray) -> None:
+        last = self.comp[:, -1].reshape(self.height, self.width)[rows]
+        active = self.active.reshape(self.height, self.width)[rows]
+        self.reach[rows] = np.where(active, last, -1).max(axis=1)
+
+    def _reachable(self, lin: int) -> np.ndarray:
+        """Active pixels, ascending, whose neighbour lists lin could enter."""
+        w = self.width
+        nr, nc = divmod(lin, w)
+        # d2 * N + lin < reach  <=>  d2 <= (reach - lin - 1) // N
+        rows = np.arange(self.height)
+        span2 = (self.reach - lin - 1) // self.n - (rows - nr) ** 2
+        rows = np.flatnonzero(span2 >= 0)
+        # below w^2 (< 2^32) the float root floors to the integer root
+        span = np.sqrt(np.minimum(span2[rows], w * w)).astype(np.int64)
+        lo = np.maximum(nc - span, 0)
+        lengths = np.minimum(nc + span, w - 1) - lo + 1
+        starts = rows * w + lo - (np.cumsum(lengths) - lengths)
+        pixels = np.arange(lengths.sum()) + np.repeat(starts, lengths)
+        return pixels[self.active[pixels]]
 
     def row(self, loc) -> int:
         """Linear index of the unmeasured pixel at loc."""
@@ -223,9 +261,14 @@ class ReconState:
         r0, r1, c0, c1 = window_bounds(loc, self.width, self.height, w)
         self.cnt[r0 : r1 + 1, c0 : c1 + 1] += 1
 
-        affected = neighbors.insert_measurement(
-            self.comp, np.arange(self.n), lin, self.width, self.height, self.active
+        reachable = self._reachable(lin)
+        comp = self.comp[reachable]
+        changed = neighbors.insert_measurement(
+            comp, reachable, lin, self.width, self.height, self.active[reachable]
         )
+        affected = reachable[changed]
+        self.comp[affected] = comp[changed]
+        self._update_reach(np.unique(np.append(affected // self.width, lin // self.width)))
 
         # IDW values can change only where the neighbor list changed, but the
         # canonical update window matches the standalone incremental rebuild.
@@ -247,25 +290,48 @@ class ReconState:
 class _Greedy:
     """Argmax-ERD policy.  After a measurement only the pixels whose descriptor
     inputs could have changed are rescored: prediction is row-stable, so
-    that gives the scores a full rescoring would."""
+    that gives the scores a full rescoring would.
+
+    Measured pixels score -inf, and row_max holds the largest score of each
+    image row.  best() takes the first maximal row, then the first maximal
+    pixel in it: that is the lowest linear index among the top scores, the
+    tie rule of _argmax.  A step refreshes the maxima of the rows it
+    rescored and of the new pixel's row.
+    """
 
     def __init__(self, state: ReconState, model):
         self.state = state
         self.model = model
         self.scores = np.full(state.n, -np.inf)
         self._rescore(np.flatnonzero(state.active))
+        self.row_max = self._grid().max(axis=1)
+
+    def _grid(self) -> np.ndarray:
+        return self.scores.reshape(self.state.height, self.state.width)
 
     def _rescore(self, pixels: np.ndarray) -> None:
         if pixels.size:
             self.scores[pixels] = predict_batch(self.model, self.state.features(pixels))
 
     def best(self):
-        return _argmax(self.state, self.scores)
+        r = int(np.argmax(self.row_max))
+        top = self.row_max[r]
+        if not top > -np.inf:  # NaN or nothing above -inf: the full scan decides
+            return _argmax(self.state, self.scores)
+        c = int(np.argmax(self._grid()[r]))
+        return PixelLocation(r, c), float(top)
 
     def measured(self, loc, affected: np.ndarray) -> None:
+        st = self.state
+        self.scores[linear_index(loc, st.width)] = -np.inf
         # descriptor inputs reach one pixel past the recon window
-        near = self.state.active_rows_in_box(loc, self.state.params.window + 1)
-        self._rescore(np.union1d(affected, near))
+        r0, r1, c0, c1 = window_bounds(loc, st.width, st.height, st.params.window + 1)
+        near = st.active_rows_in_box(loc, st.params.window + 1)
+        ar, ac = np.divmod(affected, st.width)
+        outside = affected[(ar < r0) | (ar > r1) | (ac < c0) | (ac > c1)]
+        self._rescore(np.concatenate([near, outside]))
+        rows = np.union1d(np.arange(r0, r1 + 1), outside // st.width)
+        self.row_max[rows] = self._grid()[rows].max(axis=1)
 
 
 class _Random:

@@ -102,10 +102,12 @@ def insert_measurement(
     """Fold one new measured pixel into existing neighbor lists in place.
 
     comp is (m, count) sorted composites for the pixels in query_indices;
-    active masks the rows still worth maintaining.  Returns the positions of
-    the rows whose neighbor set changed.  Keeping the best `count` composites
-    under insertion preserves canonical ordering, so incrementally maintained
-    lists match a fresh knn_measured call exactly.
+    active masks the rows still worth maintaining.  The rows may be any
+    subset of the grid, such as the pixels the new one can reach; a caller
+    that passes copies of its rows writes the changed ones back.  Returns
+    the positions of the rows whose neighbor set changed.  Keeping the best
+    `count` composites under insertion preserves canonical ordering, so
+    incrementally maintained lists match a fresh knn_measured call exactly.
     """
     n = width * height
     count = comp.shape[1]

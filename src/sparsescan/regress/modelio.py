@@ -148,11 +148,13 @@ def deserialize_model(blob: bytes):
         pos += size
     if pos != len(blob) - 4:
         raise ModelFormatError("payload size disagrees with declared arrays")
+    means = np.array(header["stats"]["means"], dtype=np.float64)
+    stds = np.array(header["stats"]["stds"], dtype=np.float64)
+    for name, arr in [*arrays.items(), ("stats.means", means), ("stats.stds", stds)]:
+        if not np.all(np.isfinite(arr)):
+            raise ModelFormatError(f"array {name!r} holds non-finite values")
 
-    stats = FeatureStats(
-        means=np.array(header["stats"]["means"]),
-        stds=np.array(header["stats"]["stds"]),
-    )
+    stats = FeatureStats(means=means, stds=stds)
     idw = IdwParams(
         neighbors=int(header["idw"]["neighbors"]),
         power=float(header["idw"]["power"]),

@@ -2,8 +2,10 @@
 
 import os
 import shutil
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from sparsescan.numerics import ROW_TILE
 from sparsescan.recon import IdwParams
 from sparsescan.regress import ErdModel, MlpModel, load_model, save_model
 from sparsescan.regress.mlp import init_params
+from sparsescan.regress.modelio import serialize_model
 from sparsescan.synth import blob_image
 
 
@@ -63,6 +66,16 @@ def workdir(tmp_path_factory):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def untrained_nn_model():
+    weights, biases = init_params(6, seed=1)
+    return ErdModel(
+        kind="nn",
+        payload=MlpModel(weights=tuple(weights), biases=tuple(biases), activation="relu"),
+        stats=FeatureStats(means=np.zeros(6), stds=np.full(6, 20.0)),
+        idw=IdwParams(),
+    )
 
 
 class TestHelpers:
@@ -290,15 +303,25 @@ class TestRun:
         assert cfg["window"] == "15" and cfg["neighbors"] == "10"  # from the model
         assert cfg["matmul"] == "einsum"  # lsq predicts through einsum
 
+    @pytest.mark.parametrize("kind", ("lsq", "nn"))
+    def test_model_with_non_finite_weight_is_a_format_error(self, workdir, tmp_path, kind, capsys):
+        # a file whose CRC matches but whose last array ends in NaN
+        if kind == "lsq":
+            blob = bytearray((workdir / "m.slnm").read_bytes())
+        else:
+            blob = bytearray(serialize_model(untrained_nn_model()))
+        struct.pack_into("<d", blob, len(blob) - 12, float("nan"))
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])) & 0xFFFFFFFF)
+        bad = tmp_path / "nan.slnm"
+        bad.write_bytes(bytes(blob))
+        argv = self.run_args(workdir, tmp_path / "runout")
+        argv[argv.index("--model") + 1] = bad
+        assert run_cli(*argv) == EXIT_IO
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "runout").exists()
+
     def test_nn_run_reports_tiled_matmul(self, workdir, tmp_path, capsys):
-        weights, biases = init_params(6, seed=1)
-        model = ErdModel(
-            kind="nn",
-            payload=MlpModel(weights=tuple(weights), biases=tuple(biases), activation="relu"),
-            stats=FeatureStats(means=np.zeros(6), stds=np.full(6, 20.0)),
-            idw=IdwParams(),
-        )
-        save_model(model, tmp_path / "nn.slnm")
+        save_model(untrained_nn_model(), tmp_path / "nn.slnm")
         argv = self.run_args(workdir, tmp_path / "runout")
         argv[argv.index("--model") + 1] = tmp_path / "nn.slnm"
         assert run_cli(*argv) == EXIT_OK

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sparsescan import neighbors
 from sparsescan.core import (
     PSNR_CAP_DB,
     GroundTruthImage,
@@ -254,12 +255,29 @@ class TestRunSampling:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     @staticmethod
+    def assert_caches_match_rebuild(state, policy):
+        """The incremental neighbour lists equal a from-scratch kNN search,
+        and the per-row reach and score maxima equal their recomputation."""
+        h, w = state.height, state.width
+        active = np.flatnonzero(state.active)
+        if active.size:
+            rebuilt = neighbors.knn_measured(
+                active, state.mset.measured_indices(), w, h, state.params.neighbors
+            )
+            np.testing.assert_array_equal(state.comp[active], rebuilt)
+        reach = np.where(state.active, state.comp[:, -1], -1).reshape(h, w).max(axis=1)
+        np.testing.assert_array_equal(state.reach, reach)
+        row_max = np.where(state.active, policy.scores, -np.inf).reshape(h, w).max(axis=1)
+        np.testing.assert_array_equal(policy.row_max, row_max)
+
+    @staticmethod
     def assert_each_step_matches_select_next(model, image, config):
         """Drive the engine's state as run_sampling does.  At every step the
         lazily rescored argmax must equal select_next, which rebuilds the
         neighbour lists and window counts and rescores every row, against
         the same reconstruction: location and predicted-ERD bits.  Every
-        kept score must equal a rescoring of a rebuilt state, bit for bit."""
+        kept score must equal a rescoring of a rebuilt state, bit for bit,
+        and the neighbour lists and per-row caches their recomputation."""
         assert config.idw == model.idw  # select_next reconstructs with the model's params
         n = image.pixel_count
         mset = seeded_mask(image, math.ceil(config.initial_density * n), config.seed)
@@ -267,6 +285,7 @@ class TestRunSampling:
         policy = _Greedy(state, model)
         erds = []
         while mset.k < math.ceil(config.budget_density * n):
+            TestRunSampling.assert_caches_match_rebuild(state, policy)
             loc, erd = policy.best()
             recon = state.reconstruction()
             ref_loc, ref_erd = select_next(model, recon, mset)
@@ -276,6 +295,7 @@ class TestRunSampling:
             np.testing.assert_array_equal(policy.scores[state.active], full)
             policy.measured(loc, state.measure(loc, float(image.values[loc])))
             erds.append(erd)
+        TestRunSampling.assert_caches_match_rebuild(state, policy)
         # the steps replayed here are the ones run_sampling takes
         run = run_sampling(SimulatedSource(image), model, config, image)
         assert [(e.location, e.value) for e in run.history] == mset.entries
@@ -320,6 +340,36 @@ class TestRunSampling:
         )
         steps = self.assert_each_step_matches_select_next(model, blob_image(size=64, seed=12), cfg)
         assert steps == math.ceil(0.04 * 64 * 64) - math.ceil(0.01 * 64 * 64)
+
+    @pytest.mark.filterwarnings("error")
+    def test_each_step_matches_select_next_from_fewer_seeds_than_neighbours(self, trained_lsq):
+        # three seeds for ten neighbours: the lists hold SENTINEL, so every
+        # row's reach is 2**62 and the first insertions must look at every pixel
+        cfg = self.small_config(
+            initial_density=0.01, budget_density=0.10, checkpoint_densities=()
+        )
+        assert math.ceil(0.01 * 256) < PARAMS.neighbors
+        assert self.assert_each_step_matches_select_next(trained_lsq, blob_image(16, seed=2), cfg)
+
+    def test_insertion_work_does_not_grow_with_image_size(self, trained_lsq, monkeypatch):
+        # rows handed to the neighbour insertion per greedy step, by image size
+        scanned = []
+        insert = neighbors.insert_measurement
+
+        def counting(comp, query_indices, *args):
+            scanned.append(len(query_indices))
+            return insert(comp, query_indices, *args)
+
+        monkeypatch.setattr(neighbors, "insert_measurement", counting)
+        cfg = self.small_config(initial_density=0.01, budget_density=0.03, checkpoint_densities=())
+        mean = {}
+        for size in (64, 128):
+            scanned.clear()
+            run_sampling(SimulatedSource(blob_image(size, seed=1)), trained_lsq, cfg)
+            assert len(scanned) == math.ceil(0.03 * size**2) - math.ceil(0.01 * size**2)
+            mean[size] = np.mean(scanned)
+        assert mean[128] < 2 * mean[64]
+        assert mean[128] < 128 * 128 / 8
 
     def test_checkpoints_fire_at_first_reaching_step(self, trained_lsq):
         image = blob_image(size=16, seed=11)
@@ -512,3 +562,18 @@ class TestEdgeGrids:
         assert int(run.final_mask.sum()) == len(locs)
         if budget == 1.0:
             np.testing.assert_array_equal(run.final_reconstruction.values, image.values)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_each_step_matches_select_next_to_full_budget(self, trained_lsq, shape):
+        cfg = RunConfig(
+            initial_density=0.01,
+            budget_density=1.0,
+            checkpoint_densities=(1.0,),
+            seed=3,
+            idw=trained_lsq.idw,
+        )
+        steps = TestRunSampling.assert_each_step_matches_select_next(
+            trained_lsq, self.image(*shape), cfg
+        )
+        assert steps == shape[0] * shape[1] - 1

@@ -1,5 +1,6 @@
 """Tests for the binary model container: round trips and corruption checks."""
 
+import dataclasses
 import struct
 import zlib
 
@@ -24,6 +25,7 @@ from sparsescan.regress import (
 from sparsescan.regress.modelio import (
     MAGIC,
     SCHEMA_VERSION,
+    _payload_arrays,
     deserialize_model,
     serialize_model,
 )
@@ -202,6 +204,27 @@ class TestCorruption:
             deserialize_model(blob[:10])
         with pytest.raises(ModelFormatError):
             deserialize_model(b"")
+
+    @pytest.mark.parametrize("maker", ALL_MAKERS, ids=["lsq", "svr", "nn"])
+    @pytest.mark.parametrize("bad", (float("nan"), float("inf")), ids=["nan", "inf"])
+    def test_non_finite_payload_value_is_rejected(self, maker, bad):
+        model = maker()
+        last = _payload_arrays(model.kind, model.payload)[-1][0]
+        blob = bytearray(serialize_model(model))
+        struct.pack_into("<d", blob, len(blob) - 12, bad)  # last value of the last array
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])) & 0xFFFFFFFF)
+        with pytest.raises(ModelFormatError, match=f"'{last}'") as err:
+            deserialize_model(bytes(blob))
+        assert not isinstance(err.value, ModelChecksumError)
+
+    @pytest.mark.parametrize("field", ("means", "stds"))
+    def test_non_finite_stats_are_rejected(self, field):
+        model = make_lsq_model()
+        values = {"means": model.stats.means.copy(), "stds": model.stats.stds.copy()}
+        values[field][2] = np.inf
+        model = dataclasses.replace(model, stats=FeatureStats(**values))
+        with pytest.raises(ModelFormatError, match=f"stats.{field}"):
+            deserialize_model(serialize_model(model))
 
     def test_errors_share_a_catchable_base(self):
         assert issubclass(ModelChecksumError, ModelFormatError)
