@@ -143,6 +143,15 @@ class SamplingRun:
         return len(self.history)
 
 
+def _check_finite(erd: np.ndarray, step: int) -> None:
+    """A non-finite prediction cannot be ranked; fail naming the step it was for."""
+    bad = int(np.count_nonzero(~np.isfinite(erd)))
+    if bad:
+        raise FloatingPointError(
+            f"model predicted {bad} non-finite ERD value(s) choosing step {step}"
+        )
+
+
 def _argmax(state, scores: np.ndarray):
     """(location, score) of the max-score active pixel, ties to the lowest index."""
     top = np.max(scores[state.active])
@@ -292,6 +301,7 @@ class _Greedy:
     inputs could have changed are rescored: prediction is row-stable, so
     that gives the scores a full rescoring would.
 
+    Predictions must be finite (a non-finite one raises FloatingPointError).
     Measured pixels score -inf, and row_max holds the largest score of each
     image row.  best() takes the first maximal row, then the first maximal
     pixel in it: that is the lowest linear index among the top scores, the
@@ -311,15 +321,14 @@ class _Greedy:
 
     def _rescore(self, pixels: np.ndarray) -> None:
         if pixels.size:
-            self.scores[pixels] = predict_batch(self.model, self.state.features(pixels))
+            erd = predict_batch(self.model, self.state.features(pixels))
+            _check_finite(erd, self.state.mset.k + 1)
+            self.scores[pixels] = erd
 
     def best(self):
         r = int(np.argmax(self.row_max))
-        top = self.row_max[r]
-        if not top > -np.inf:  # NaN or nothing above -inf: the full scan decides
-            return _argmax(self.state, self.scores)
         c = int(np.argmax(self._grid()[r]))
-        return PixelLocation(r, c), float(top)
+        return PixelLocation(r, c), float(self.row_max[r])
 
     def measured(self, loc, affected: np.ndarray) -> None:
         st = self.state
@@ -354,7 +363,7 @@ def select_next(model, recon: Reconstruction, mset: MeasurementSet, workers: int
 
     Returns (PixelLocation, predicted_erd); ties break to the lowest linear
     index.  Scoring may be chunked across threads; the result is identical
-    to a serial pass.
+    to a serial pass.  A non-finite prediction raises FloatingPointError.
     """
     if (recon.width, recon.height) != (mset.width, mset.height):
         raise ValueError("reconstruction and measurement set dimensions differ")
@@ -376,6 +385,7 @@ def select_next(model, recon: Reconstruction, mset: MeasurementSet, workers: int
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             scores[pixels] = np.concatenate(list(pool.map(score, np.array_split(pixels, workers))))
+    _check_finite(scores[pixels], mset.k + 1)
     return _argmax(state, scores)
 
 

@@ -4,17 +4,24 @@ Lazy rescoring in the greedy loop and the threaded chunks of ``select_next``
 require that scoring a subset of candidate rows produces bit-identical
 numbers to scoring the full batch.  A plain BLAS matmul does not guarantee
 that: its kernel, blocking and reduction order can depend on the batch
-shape, so a row's bits change with the rows around it.  Two techniques avoid that here:
+shape, so a row's bits change with the rows around it.  Three techniques avoid that here:
 
 - ``stable_matmul`` (the MLP forward pass) pushes rows through ``np.matmul``
   in zero-padded tiles of one fixed shape, ``ROW_TILE`` rows, so every call
-  runs the same BLAS kernel on the same tile shape.  A memoised self-test per
-  weight shape checks that a row's result does not depend on its position
-  in a tile; where it does, that shape falls back to ``einsum``.
-- ``stable_matvec`` (lsq) and ``stable_cross_sq_dists`` (SVR) use ``einsum``,
+  runs the same BLAS kernel on the same tile shape.
+- ``column_tile_product`` (SVR prediction) turns the tile round: the support
+  vectors are the rows of the left operand and up to ``ROW_TILE`` query rows
+  are the zero-padded columns of the right one.  A row tile of that cross
+  product, (ROW_TILE, t) @ (t, support vectors), is not row-position
+  invariant on the OpenBLAS this was measured with; the column tile is.
+- ``stable_matvec`` (lsq) and ``stable_cross_sq_dists`` (SVR training, and
+  SVR prediction where the column tile fails its self-test) use ``einsum``,
   whose per-element reduction order depends only on the contracted length.
-  A BLAS tile of the SVR cross product is not row-position invariant even at
-  a fixed shape.
+
+Both tile orientations sit behind one memoised self-test per operand shape
+(``_position_invariant``): a result row, or column, must not depend on its
+position in a tile or on the other rows in it.  A shape that fails falls back
+to ``einsum``.
 """
 
 import functools
@@ -22,7 +29,7 @@ import math
 
 import numpy as np
 
-ROW_TILE = 256  # rows per BLAS tile; also the row block of SVR prediction
+ROW_TILE = 256  # rows per BLAS tile; query columns per SVR column tile
 
 
 def _blas_tiles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -45,29 +52,80 @@ def _blas_tiles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _tiles_row_invariant(k: int, n: int) -> bool:
-    """Self-test of ``_blas_tiles`` for (k, n) weights, run once per shape.
+def column_tile_product(
+    b: np.ndarray, a: np.ndarray, tile: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """b @ a.T for at most ROW_TILE rows of a, as one (n, k) @ (k, ROW_TILE) product.
 
-    One call of two tiles, a full tile of permuted rows and a padded tile of
-    some of the same rows permuted, must give every row the bits it gets in
-    a single unpermuted full tile.
+    b is C-contiguous float64 (n, k); tile (k, ROW_TILE) and out (n, ROW_TILE)
+    are C-contiguous float64 arrays that callers reuse across calls.  The rows
+    of a become the first columns of tile and the other columns are zeroed, so
+    every product has one shape.  Column j of the returned out belongs to row
+    j of a.
     """
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((ROW_TILE, k))
-    b = rng.standard_normal((k, n))
+    m = a.shape[0]
+    tile[:, :m] = a.T
+    tile[:, m:] = 0.0
+    return np.matmul(b, tile, out=out)
+
+
+def _blas_column_tiles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(m, k) @ (n, k).T through column_tile_product, one tile per ROW_TILE rows."""
+    n, k = b.shape
+    tile = np.empty((k, ROW_TILE))
+    cross = np.empty((n, ROW_TILE))
+    out = np.empty((a.shape[0], n))
+    for start in range(0, a.shape[0], ROW_TILE):
+        block = a[start : start + ROW_TILE]
+        cols = column_tile_product(b, block, tile, cross)[:, : len(block)]
+        out[start : start + ROW_TILE] = cols.T
+    return out
+
+
+def _position_invariant(tiles, a: np.ndarray, b: np.ndarray) -> bool:
+    """Self-test of a tiled product: tiles(a, b) has one result row per row of a.
+
+    a holds ROW_TILE rows.  One call of two tiles, a full tile of permuted
+    rows and a padded tile of some of the same rows permuted, must give every
+    row the bits it gets in a single unpermuted full tile.
+    """
+    rng = np.random.default_rng(1)
     part = ROW_TILE // 3
     perm = rng.permutation(ROW_TILE)
     perm_part = rng.permutation(part)
-    full = _blas_tiles(a, b)
-    got = _blas_tiles(np.concatenate([a[perm], a[perm_part]]), b)
-    want = np.concatenate([full[perm], full[perm_part]])
-    return bool(np.array_equal(got, want))
+    full = tiles(a, b)
+    got = tiles(np.concatenate([a[perm], a[perm_part]]), b)
+    return np.array_equal(got[:ROW_TILE], full[perm]) and np.array_equal(
+        got[ROW_TILE:], full[perm_part]
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _tiles_row_invariant(k: int, n: int) -> bool:
+    """Whether ``_blas_tiles`` is row-position invariant for (k, n) weights."""
+    rng = np.random.default_rng(0)
+    return _position_invariant(
+        _blas_tiles, rng.standard_normal((ROW_TILE, k)), rng.standard_normal((k, n))
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _tiles_column_invariant(n: int, k: int) -> bool:
+    """Whether ``column_tile_product`` is column-position invariant for (n, k) rows."""
+    rng = np.random.default_rng(0)
+    return _position_invariant(
+        _blas_column_tiles, rng.standard_normal((ROW_TILE, k)), rng.standard_normal((n, k))
+    )
 
 
 def matmul_path(k: int, n: int) -> str:
     """Which path ``stable_matmul`` takes for (k, n) weights."""
     return f"blas-tile{ROW_TILE}" if _tiles_row_invariant(k, n) else "einsum"
+
+
+def cross_path(n: int, k: int) -> str:
+    """Which path SVR prediction's cross product takes for (n, k) support vectors."""
+    return f"blas-coltile{ROW_TILE}" if _tiles_column_invariant(n, k) else "einsum"
 
 
 def stable_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

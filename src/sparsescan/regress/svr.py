@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..numerics import ROW_TILE, stable_cross_sq_dists
+from ..numerics import ROW_TILE, column_tile_product, cross_path, stable_cross_sq_dists
 
 _TAU = 1e-12
 
@@ -169,12 +169,48 @@ def fit_svr(
 def predict_svr(model: SvrModel, v: np.ndarray) -> np.ndarray:
     """Batch-composition-stable prediction for standardized rows v (m, t).
 
-    Kernel rows are built ROW_TILE rows at a time, so memory stays at two
-    (ROW_TILE, support vectors) arrays; einsum rows do not depend on the
-    block they are computed in.  Every block reuses the same two arrays:
-    fresh ones per block make the allocator hand their pages back and fault
-    them in again, which cost more than the arithmetic.
+    The kernel is built ROW_TILE query rows at a time as one (nsv, ROW_TILE)
+    column tile.  Its cross product is column_tile_product of the
+    pre-doubled support vectors (scaling by 2 is exact) against the rows as
+    zero-padded columns, and every later pass, down to the coefficient sums
+    of the columns, runs on the whole tile.  So every block runs the same
+    operations on the same shapes, and a query's bits depend only on its own
+    column; a call costs at least one full tile.  A support-vector shape
+    whose column tile fails its self-test keeps the einsum blocks, whose
+    rows do not depend on the block they are computed in.  Every block
+    reuses the same working arrays: fresh ones per block make the allocator
+    hand their pages back and fault them in again, which cost more than the
+    arithmetic.
     """
+    sv = model.support_vectors
+    if cross_path(*sv.shape) == "einsum":
+        return _predict_einsum_blocks(model, v)
+    nsv, t = sv.shape
+    sv2 = 2.0 * sv
+    bb = np.einsum("ij,ij->i", sv, sv)
+    tile = np.empty((t, ROW_TILE))
+    aa = np.empty(ROW_TILE)
+    k, cross = np.empty((2, nsv, ROW_TILE))
+    out = np.empty(v.shape[0])
+    for start in range(0, v.shape[0], ROW_TILE):
+        block = v[start : start + ROW_TILE]
+        rows = block.shape[0]
+        aa[:rows] = np.einsum("ij,ij->i", block, block)
+        aa[rows:] = 0.0
+        column_tile_product(sv2, block, tile, cross)
+        np.copyto(k, aa[None, :])
+        k += bb[:, None]
+        k -= cross
+        # negative values only from rounding; distances are squared magnitudes
+        np.maximum(k, 0.0, out=k)
+        k *= -model.gamma
+        np.exp(k, out=k)
+        out[start : start + rows] = np.einsum("ij,i->j", k, model.coefficients)[:rows]
+    return out + model.bias
+
+
+def _predict_einsum_blocks(model: SvrModel, v: np.ndarray) -> np.ndarray:
+    """predict_svr through einsum, ROW_TILE rows into two reused arrays."""
     sv = model.support_vectors
     out = np.empty(v.shape[0])
     k_work, cross_work = np.empty((2, min(v.shape[0], ROW_TILE), sv.shape[0]))

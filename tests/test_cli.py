@@ -25,7 +25,7 @@ from sparsescan.core import save_image
 from sparsescan.features import FeatureStats
 from sparsescan.numerics import ROW_TILE
 from sparsescan.recon import IdwParams
-from sparsescan.regress import ErdModel, MlpModel, load_model, save_model
+from sparsescan.regress import ErdModel, MlpModel, SvrModel, load_model, save_model
 from sparsescan.regress.mlp import init_params
 from sparsescan.regress.modelio import serialize_model
 from sparsescan.synth import blob_image
@@ -66,6 +66,23 @@ def workdir(tmp_path_factory):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def small_svr_model():
+    rng = np.random.default_rng(2)
+    return ErdModel(
+        kind="svr",
+        payload=SvrModel(
+            support_vectors=rng.standard_normal((40, 6)),
+            coefficients=rng.uniform(-1.0, 1.0, 40),
+            bias=0.5,
+            gamma=1.0 / 6.0,
+            c=1.0,
+            epsilon=0.1,
+        ),
+        stats=FeatureStats(means=np.zeros(6), stds=np.full(6, 20.0)),
+        idw=IdwParams(),
+    )
 
 
 def untrained_nn_model():
@@ -330,6 +347,16 @@ class TestRun:
         assert cfg["matmul"] == f"blas-tile{ROW_TILE}"
         capsys.readouterr()
 
+    def test_svr_run_reports_column_tiles(self, workdir, tmp_path, capsys):
+        save_model(small_svr_model(), tmp_path / "svr.slnm")
+        argv = self.run_args(workdir, tmp_path / "runout")
+        argv[argv.index("--model") + 1] = tmp_path / "svr.slnm"
+        assert run_cli(*argv) == EXIT_OK
+        lines = (tmp_path / "runout" / "effective.cfg").read_text().splitlines()
+        cfg = dict(l.split("=", 1) for l in lines)
+        assert cfg["matmul"] == f"blas-coltile{ROW_TILE}"
+        capsys.readouterr()
+
     def test_checkpoints_sharing_an_artifact_name_are_usage_error(self, workdir, tmp_path, capsys):
         out = tmp_path / "runout"
         argv = self.run_args(workdir, out)
@@ -459,6 +486,22 @@ class TestEval:
         assert side["neighbors"] == "m:10;random:10"
         assert side["matmul"] == "m:einsum;random:none"
         assert side["repeats"] == "2"
+
+    def test_sidecar_reports_each_method_s_path(self, workdir, tmp_path, capsys):
+        save_model(small_svr_model(), tmp_path / "svr.slnm")
+        out = tmp_path / "report.csv"
+        argv = self.eval_args(workdir, out)
+        argv[argv.index("--model") + 1 : argv.index("--model") + 2] = [
+            tmp_path / "svr.slnm",
+            workdir / "m.slnm",
+        ]
+        assert run_cli(*argv) == EXIT_OK
+        side = dict(
+            l.split("=", 1) for l in (tmp_path / "report.csv.cfg").read_text().splitlines()
+        )
+        assert side["methods"] == "svr;m;random"
+        assert side["matmul"] == f"svr:blas-coltile{ROW_TILE};m:einsum;random:none"
+        capsys.readouterr()
 
     def test_no_walltime_makes_reports_reproducible(self, workdir, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -341,6 +341,22 @@ class TestRunSampling:
         steps = self.assert_each_step_matches_select_next(model, blob_image(size=64, seed=12), cfg)
         assert steps == math.ceil(0.04 * 64 * 64) - math.ceil(0.01 * 64 * 64)
 
+    def test_each_step_matches_select_next_for_svr(self):
+        # a window of 3 keeps the lazy batches at tens of rows while
+        # select_next scores about 900 rows, so each query's kernel column
+        # must not depend on the tile it shares or its place in it.  About
+        # 500 support vectors: with 80, a (rows, 6) @ (6, 80) row tile
+        # happened to be invariant here except for single rows.
+        params = IdwParams(neighbors=10, power=2.0, window=3)
+        schedule = TrainingSchedule(densities=(0.05, 0.2), samples_per_level=250, rd_window=3)
+        image = blob_image(size=32, seed=5)
+        model, _, diag = train_erd_model([image], schedule, params, kind="svr")
+        assert diag["support_vectors"] >= 400
+        cfg = self.small_config(
+            initial_density=0.05, budget_density=0.15, checkpoint_densities=(), idw=params
+        )
+        assert self.assert_each_step_matches_select_next(model, image, cfg)
+
     @pytest.mark.filterwarnings("error")
     def test_each_step_matches_select_next_from_fewer_seeds_than_neighbours(self, trained_lsq):
         # three seeds for ten neighbours: the lists hold SENTINEL, so every
@@ -431,6 +447,26 @@ class TestRunSampling:
         with pytest.raises(SourceQueryError) as err:
             run_sampling(NanSource(), trained_lsq, self.small_config(), image)
         assert err.value.step == 1
+
+    def test_non_finite_prediction_names_the_step(self):
+        # a NaN output bias makes every prediction NaN; the first greedy step
+        # comes after ceil(0.01 * 1024) = 11 seeds
+        weights, biases = init_params(6, seed=4)
+        biases = list(biases)
+        biases[-1] = np.full_like(biases[-1], np.nan)
+        model = ErdModel(
+            kind="nn",
+            payload=MlpModel(weights=tuple(weights), biases=tuple(biases), activation="relu"),
+            stats=FeatureStats(means=np.zeros(6), stds=np.full(6, 20.0)),
+            idw=PARAMS,
+        )
+        image = blob_image(32)
+        with pytest.raises(FloatingPointError, match=r"1013 non-finite .* step 12$"):
+            cfg = self.small_config(initial_density=0.01)
+            run_sampling(SimulatedSource(image), model, cfg, image)
+        mset = seeded_mask(image, 11, seed=0)
+        with pytest.raises(FloatingPointError, match=r"1013 non-finite .* step 12$"):
+            select_next(model, reconstruct(mset, PARAMS), mset)
 
     def test_dimension_mismatch_rejected(self, trained_lsq):
         image = blob_image(size=16, seed=15)

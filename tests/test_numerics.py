@@ -1,7 +1,7 @@
 """Guards for the deterministic numeric kernels.
 
 The whole package leans on two properties: the products behind prediction
-(fixed-shape BLAS tiles, or einsum) give each output row the same bits no
+(fixed-shape BLAS row or column tiles, or einsum) give each output row the same bits no
 matter which other rows are in the batch, and fsum-based absolute sums are
 exactly rounded (hence order-free).  These
 tests pin both down so a regression is caught here and not as a mysterious
@@ -17,6 +17,8 @@ import pytest
 from sparsescan import numerics
 from sparsescan.numerics import (
     ROW_TILE,
+    column_tile_product,
+    cross_path,
     exact_abs_sum,
     matmul_path,
     quantize_u8,
@@ -94,8 +96,10 @@ class TestRowStability:
 def fresh_self_test():
     """Forget memoised self-test results before and after the test."""
     numerics._tiles_row_invariant.cache_clear()
+    numerics._tiles_column_invariant.cache_clear()
     yield
     numerics._tiles_row_invariant.cache_clear()
+    numerics._tiles_column_invariant.cache_clear()
 
 
 def _einsum_matmul(a, b):
@@ -164,6 +168,33 @@ class TestTiledMatmul:
         assert np.array_equal(full, _einsum_matmul(a, b))
         perm = rng.permutation(a.shape[0])
         assert np.array_equal(stable_matmul(a[perm], b), full[perm])
+
+
+class TestColumnTiles:
+    """SVR's cross product runs as (n, k) @ (k, ROW_TILE) column tiles behind
+    the same self-test, turned round."""
+
+    def test_product_fills_padded_columns_with_zeros(self):
+        rng = np.random.default_rng(25)
+        b = rng.standard_normal((40, 6))
+        a = rng.standard_normal((7, 6))
+        tile = np.full((6, ROW_TILE), np.nan)
+        out = np.empty((40, ROW_TILE))
+        got = column_tile_product(b, a, tile, out)
+        assert got is out
+        np.testing.assert_allclose(got[:, :7], np.einsum("ij,kj->ik", b, a), rtol=1e-12)
+        assert np.array_equal(tile[:, 7:], np.zeros((6, ROW_TILE - 7)))
+        assert np.array_equal(got[:, 7:], np.zeros((40, ROW_TILE - 7)))
+
+    def test_self_test_accepts_an_invariant_product(self, fresh_self_test, monkeypatch):
+        monkeypatch.setattr(numerics, "_blas_column_tiles", lambda a, b: _einsum_matmul(a, b.T))
+        assert cross_path(1927, 6) == f"blas-coltile{ROW_TILE}"
+
+    def test_failed_self_test_reports_einsum(self, fresh_self_test, monkeypatch):
+        monkeypatch.setattr(
+            numerics, "_blas_column_tiles", lambda a, b: _position_dependent(a, b.T)
+        )
+        assert cross_path(1927, 6) == "einsum"
 
 
 class TestExactAbsSum:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from sparsescan.numerics import ROW_TILE
+from sparsescan import numerics
+from sparsescan.numerics import ROW_TILE, cross_path
 from sparsescan.regress.svr import (
     SvrModel,
     auto_gamma,
@@ -60,6 +61,33 @@ def toy_dataset(seed, n=30):
     V = rng.standard_normal((n, 6))
     R = np.sin(V[:, 0]) + 0.5 * V[:, 1] ** 2 + 0.1 * rng.standard_normal(n)
     return V, R
+
+
+def random_svr(nsv, seed):
+    """An SvrModel with nsv random support vectors; prediction needs no fit."""
+    rng = np.random.default_rng(seed)
+    return SvrModel(
+        support_vectors=rng.standard_normal((nsv, 6)),
+        coefficients=rng.uniform(-1.0, 1.0, nsv),
+        bias=0.25,
+        gamma=1.0 / 6.0,
+        c=1.0,
+        epsilon=0.1,
+    )
+
+
+def whole_batch_formula(model, q):
+    """The einsum kernel of rbf_kernel over the whole batch, then the weighted sum."""
+    k = rbf_kernel(q, model.support_vectors, model.gamma)
+    return np.einsum("ij,j->i", k, model.coefficients) + model.bias
+
+
+@pytest.fixture
+def fresh_column_self_test():
+    """Forget memoised column-tile self-test results before and after the test."""
+    numerics._tiles_column_invariant.cache_clear()
+    yield
+    numerics._tiles_column_invariant.cache_clear()
 
 
 def full_beta(model, n):
@@ -206,17 +234,58 @@ class TestPrediction:
         for i in (0, 14, 29):
             assert predict_svr(model, V[i : i + 1])[0] == batch[i]
 
-    def test_blocked_prediction_matches_whole_batch_formula(self):
-        # predict_svr builds kernel rows ROW_TILE at a time; the bits must be
-        # those of the whole-batch kernel
+    @pytest.mark.parametrize("nsv", [23, 1927])
+    def test_support_vector_shapes_take_the_column_tiles(self, nsv):
+        # fails on a BLAS build whose column tiles are not position invariant:
+        # prediction there is correct but runs the slower einsum blocks
+        assert cross_path(nsv, 6) == f"blas-coltile{ROW_TILE}"
+
+    @pytest.mark.parametrize("m", [1, ROW_TILE - 1, ROW_TILE, ROW_TILE + 1, 1000])
+    @pytest.mark.parametrize("nsv", [23, 1927])
+    def test_rows_independent_of_batch_across_tile_edges(self, m, nsv):
+        model = random_svr(nsv, seed=nsv)
+        rng = np.random.default_rng(m)
+        q = rng.standard_normal((m, 6))
+        full = predict_svr(model, q)
+        perm = rng.permutation(m)
+        assert np.array_equal(predict_svr(model, q[perm]), full[perm])
+        for i in {0, min(ROW_TILE - 1, m - 1), min(ROW_TILE, m - 1), m - 1}:
+            assert predict_svr(model, q[i : i + 1])[0] == full[i]
+
+    @pytest.mark.parametrize("nsv", [23, 1927])
+    def test_agrees_with_einsum_reference(self, nsv):
+        model = random_svr(nsv, seed=nsv + 1)
+        q = np.random.default_rng(16).standard_normal((1000, 6))
+        np.testing.assert_allclose(
+            predict_svr(model, q), whole_batch_formula(model, q), rtol=1e-12, atol=0.0
+        )
+
+    def test_failed_self_test_keeps_whole_batch_formula_bits(
+        self, fresh_column_self_test, monkeypatch
+    ):
+        # a product whose columns depend on their tile position must fail the
+        # self-test; prediction then builds einsum kernel rows ROW_TILE at a
+        # time, and the bits must be those of the whole-batch kernel
+        def position_dependent(a, b):
+            return a @ b.T + np.arange(a.shape[0])[:, None] * 1e-9
+
+        monkeypatch.setattr(numerics, "_blas_column_tiles", position_dependent)
         V, R = toy_dataset(15)
         model = fit_svr(V, R)
+        assert cross_path(*model.support_vectors.shape) == "einsum"
         rng = np.random.default_rng(16)
         for m in (1, ROW_TILE - 1, ROW_TILE, ROW_TILE + 1, 1000):
             q = rng.standard_normal((m, V.shape[1]))
-            k = rbf_kernel(q, model.support_vectors, model.gamma)
-            want = np.einsum("ij,j->i", k, model.coefficients) + model.bias
-            assert np.array_equal(predict_svr(model, q), want)
+            assert np.array_equal(predict_svr(model, q), whole_batch_formula(model, q))
+
+    def test_self_test_runs_once_per_shape(self, fresh_column_self_test):
+        rng = np.random.default_rng(17)
+        for nsv in (23, 40):
+            model = random_svr(nsv, seed=nsv)
+            for m in (3, 300, 700):
+                predict_svr(model, rng.standard_normal((m, 6)))
+        info = numerics._tiles_column_invariant.cache_info()
+        assert (info.misses, info.hits) == (2, 4)
 
     def test_auto_gamma_values(self):
         rng = np.random.default_rng(14)
