@@ -150,6 +150,11 @@ def _load_images(paths):
     return images, ids
 
 
+def _seconds(seconds: float) -> str:
+    """Seconds cut down to whole milliseconds, so printed parts never add up past a printed total."""
+    return f"{math.floor(seconds * 1000) / 1000:.3f}"
+
+
 def _fit_and_save(images, image_ids, args, config, out_path, pretrained, extra):
     regressor = merge_option(args, config, "regressor")
     if regressor not in ("lsq", "svr", "nn"):
@@ -183,8 +188,10 @@ def _fit_and_save(images, image_ids, args, config, out_path, pretrained, extra):
     save_model(model, out_path)
     if getattr(args, "db_out", None):
         save_training_csv(db, args.db_out)
-    fit_note = ", ".join(f"{k}={v}" for k, v in sorted(diag.items()))
-    print(f"trained kind={regressor} rows={db.n} [{fit_note}] in {elapsed:.1f}s")
+    fit_note = ", ".join(
+        f"{k}={_seconds(v) if k.endswith('_s') else v}" for k, v in sorted(diag.items())
+    )
+    print(f"trained kind={regressor} rows={db.n} [{fit_note}] in {_seconds(elapsed)}s")
     print(f"wrote {out_path}")
     return EXIT_OK
 

@@ -5,6 +5,7 @@ Fixed architecture: input t -> 50, four more 50 -> 50 hidden layers, then
 identity option; the loss is 0.5 * sum of squared residuals over a batch.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,12 +74,6 @@ class MlpModel:
         object.__setattr__(self, "biases", bs)
 
 
-def _act(x: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return np.maximum(x, 0.0)
-    return x
-
-
 def init_params(feature_count: int, seed: int):
     """Seeded scaled-uniform initialization, biases zero."""
     rng = np.random.default_rng(seed)
@@ -102,63 +97,158 @@ def forward(weights, biases, x: np.ndarray, activation: str) -> np.ndarray:
     return (stable_matmul(h, weights[-1]) + biases[-1])[:, 0]
 
 
+def _layer_views(flat: np.ndarray, shapes):
+    """Views of a flat vector laid out W0, b0, W1, b1, ... for weights of these shapes."""
+    weights, biases = [], []
+    at = 0
+    for fan_in, fan_out in shapes:
+        weights.append(flat[at : at + fan_in * fan_out].reshape(fan_in, fan_out))
+        at += fan_in * fan_out
+        biases.append(flat[at : at + fan_out])
+        at += fan_out
+    return weights, biases
+
+
+def _rows(flat: np.ndarray, m: int, width: int) -> np.ndarray:
+    return flat[: m * width].reshape(m, width)
+
+
+class _Backprop:
+    """Loss and gradients of one batch, in work arrays sized for `rows` rows.
+
+    Every product and sum is the one the textbook allocating pass computes,
+    on operands of the same shapes and layouts, so the bits are the same
+    whether the outputs land in fresh arrays or in views of a flat vector.
+    """
+
+    def __init__(self, weights, rows: int, activation: str):
+        self.relu = activation == "relu"
+        widths = [w.shape[1] for w in weights[:-1]]
+        self.pre = [np.empty((rows, u)) for u in widths]
+        self.post = [np.empty((rows, u)) for u in widths] if self.relu else self.pre
+        self.out = np.empty((rows, 1))
+        self.resid = np.empty(rows)
+        # flat, so that an (m, width) view of the first m * width entries is
+        # C-contiguous for any batch size m and layer width
+        size = rows * max(w.shape[0] for w in weights)
+        self.back = (np.empty(size), np.empty(size))
+        self.mask = np.empty(size, dtype=bool)
+
+    def loss(self, weights, biases, x: np.ndarray, r: np.ndarray) -> float:
+        """Forward pass over the m rows of x; keeps the activations, returns the loss."""
+        m = x.shape[0]
+        h = x
+        for w, b, pre, post in zip(weights[:-1], biases[:-1], self.pre, self.post):
+            z = np.matmul(h, w, out=pre[:m])
+            z += b
+            h = np.maximum(z, 0.0, out=post[:m]) if self.relu else z
+        out = np.matmul(h, weights[-1], out=self.out[:m])
+        out += biases[-1]
+        resid = np.subtract(out[:, 0], r, out=self.resid[:m])
+        return 0.5 * float(resid @ resid)
+
+    def gradients(self, weights, x: np.ndarray, grads_w, grads_b) -> None:
+        """Back-propagate the last loss() into grads_w and grads_b."""
+        m = x.shape[0]
+        inputs = [x] + [post[:m] for post in self.post]
+        delta = self.resid[:m, None]  # d loss / d output
+        np.matmul(inputs[-1].T, delta, out=grads_w[-1])
+        np.add.reduce(delta, axis=0, out=grads_b[-1])
+        out = _rows(self.back[0], m, weights[-1].shape[0])
+        back = np.matmul(delta, weights[-1].T, out=out)
+        for i, layer in enumerate(range(len(weights) - 2, -1, -1)):
+            if self.relu:
+                # a multiply, not a masked store: it keeps the -0.0 signs
+                pre = self.pre[layer][:m]
+                mask = np.greater(pre, 0.0, out=_rows(self.mask, m, pre.shape[1]))
+                np.multiply(back, mask, out=back)
+            np.matmul(inputs[layer].T, back, out=grads_w[layer])
+            np.add.reduce(back, axis=0, out=grads_b[layer])
+            if layer > 0:
+                # the signal alternates between the two back buffers
+                out = _rows(self.back[(i + 1) % 2], m, weights[layer].shape[0])
+                back = np.matmul(back, weights[layer].T, out=out)
+
+
 def loss_and_gradients(weights, biases, x: np.ndarray, r: np.ndarray, activation: str):
     """Loss 0.5 * sum((r - pred)^2) and its gradients w.r.t. all parameters."""
     x = np.asarray(x, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)
-    pre = []
-    post = [x]
-    h = x
-    for w, b in zip(weights[:-1], biases[:-1]):
-        z = h @ w + b
-        pre.append(z)
-        h = _act(z, activation)
-        post.append(h)
-    pred = (h @ weights[-1] + biases[-1])[:, 0]
-    resid = pred - r
-    loss = 0.5 * float(resid @ resid)
-
-    grads_w = [None] * len(weights)
-    grads_b = [None] * len(biases)
-    delta = resid[:, None]  # d loss / d output
-    grads_w[-1] = post[-1].T @ delta
-    grads_b[-1] = delta.sum(axis=0)
-    back = delta @ weights[-1].T
-    for layer in range(len(weights) - 2, -1, -1):
-        if activation == "relu":
-            back = back * (pre[layer] > 0.0)
-        grads_w[layer] = post[layer].T @ back
-        grads_b[layer] = back.sum(axis=0)
-        if layer > 0:
-            back = back @ weights[layer].T
+    net = _Backprop(weights, x.shape[0], activation)
+    loss = net.loss(weights, biases, x, r)
+    grads_w = [np.empty_like(w) for w in weights]
+    grads_b = [np.empty_like(b) for b in biases]
+    net.gradients(weights, x, grads_w, grads_b)
     return loss, grads_w, grads_b
 
 
+def _adam_step(value, grad, m, v, step: int, config: MlpConfig, work) -> None:
+    """adam_update in place on value, m and v; work is two arrays of their shape.
+
+    Each operation is the one the formula in adam_update spells, in its order,
+    so the in-place bits equal the allocating ones.
+    """
+    a, b = work
+    np.multiply(m, config.beta1, out=m)
+    np.multiply(grad, 1.0 - config.beta1, out=a)
+    m += a
+    np.multiply(v, config.beta2, out=v)
+    np.multiply(grad, 1.0 - config.beta2, out=a)
+    a *= grad
+    v += a
+    np.divide(m, 1.0 - config.beta1**step, out=a)
+    np.divide(v, 1.0 - config.beta2**step, out=b)
+    np.sqrt(b, out=b)
+    b += config.adam_eps
+    a *= config.learning_rate
+    a /= b
+    value -= a
+
+
 def adam_update(value, grad, m, v, step: int, config: MlpConfig):
-    """One Adam step; elementwise, so it applies to scalars and arrays alike."""
-    m_new = config.beta1 * m + (1.0 - config.beta1) * grad
-    v_new = config.beta2 * v + (1.0 - config.beta2) * grad * grad
-    m_hat = m_new / (1.0 - config.beta1**step)
-    v_hat = v_new / (1.0 - config.beta2**step)
-    updated = value - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
-    return updated, m_new, v_new
+    """One Adam step; elementwise, so it applies to scalars and arrays alike.
+
+    m_new = beta1 * m + (1 - beta1) * grad
+    v_new = beta2 * v + (1 - beta2) * grad * grad
+    updated = value - lr * m_hat / (sqrt(v_hat) + eps), with m_hat and v_hat
+    the bias-corrected moments.  Returns (updated, m_new, v_new).
+    """
+    value, grad, m, v = (
+        np.array(a, dtype=np.float64) for a in np.broadcast_arrays(value, grad, m, v)
+    )
+    _adam_step(value, grad, m, v, step, config, (np.empty_like(value), np.empty_like(value)))
+    # [()] turns a 0-d result back into a scalar and leaves arrays as they are
+    return value[()], m[()], v[()]
 
 
 def fit_mlp(V: np.ndarray, R: np.ndarray, config: MlpConfig = MlpConfig()):
-    """Mini-batch Adam over shuffled epochs; returns (model, final_epoch_loss)."""
+    """Mini-batch Adam over shuffled epochs; returns (model, final_epoch_loss).
+
+    All weights and biases live in one flat float64 vector, and the gradient
+    and both Adam moments share its layout, so a batch is one backprop that
+    writes into gradient views of that vector, then one in-place Adam step
+    over the whole of it.  Every element still sees the same operations in
+    the same order as a per-array update with freshly allocated arrays, so
+    the weights, biases and loss are bit-identical to that loop.
+    """
     V = np.asarray(V, dtype=np.float64)
     R = np.asarray(R, dtype=np.float64)
     if V.ndim != 2 or R.shape != (V.shape[0],):
         raise ValueError("expected V (n, t) and R (n,)")
-    n = V.shape[0]
+    n, t = V.shape
     if n < 1:
         raise ValueError("at least one row required")
 
-    weights, biases = init_params(V.shape[1], config.seed)
-    m_w = [np.zeros_like(w) for w in weights]
-    v_w = [np.zeros_like(w) for w in weights]
-    m_b = [np.zeros_like(b) for b in biases]
-    v_b = [np.zeros_like(b) for b in biases]
+    init_w, init_b = init_params(t, config.seed)
+    shapes = [w.shape for w in init_w]
+    params = np.concatenate([a.ravel() for pair in zip(init_w, init_b) for a in pair])
+    weights, biases = _layer_views(params, shapes)
+    grad = np.empty_like(params)
+    grads_w, grads_b = _layer_views(grad, shapes)
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    work = (np.empty_like(params), np.empty_like(params))
+    net = _Backprop(weights, min(n, config.batch_size), config.activation)
     rng = np.random.default_rng(config.seed + 1)
     step = 0
     epoch_loss = 0.0
@@ -167,19 +257,17 @@ def fit_mlp(V: np.ndarray, R: np.ndarray, config: MlpConfig = MlpConfig()):
         epoch_loss = 0.0
         for bi, start in enumerate(range(0, n, config.batch_size)):
             sel = order[start : start + config.batch_size]
-            loss, gw, gb = loss_and_gradients(weights, biases, V[sel], R[sel], config.activation)
-            if not np.isfinite(loss):
+            x = V[sel]
+            loss = net.loss(weights, biases, x, R[sel])
+            if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch, bi, loss)
             epoch_loss += loss
             step += 1
-            for i in range(len(weights)):
-                weights[i], m_w[i], v_w[i] = adam_update(
-                    weights[i], gw[i], m_w[i], v_w[i], step, config
-                )
-                biases[i], m_b[i], v_b[i] = adam_update(
-                    biases[i], gb[i], m_b[i], v_b[i], step, config
-                )
+            net.gradients(weights, x, grads_w, grads_b)
+            _adam_step(params, grad, m, v, step, config, work)
     model = MlpModel(
-        weights=tuple(weights), biases=tuple(biases), activation=config.activation
+        weights=tuple(w.copy() for w in weights),
+        biases=tuple(b.copy() for b in biases),
+        activation=config.activation,
     )
     return model, epoch_loss

@@ -8,6 +8,7 @@ window covering the whole image reproduces the exact value bit for bit.
 """
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,25 +259,33 @@ def train_erd_model(
 ):
     """End-to-end fit: database, standardization stats, then the regressor.
 
-    Returns (model, database, diagnostics dict).
+    Returns (model, database, diagnostics dict).  The diagnostics include
+    db_s and fit_s, the seconds spent building the database and fitting the
+    regressor.
     """
+    t0 = time.perf_counter()
     db = generate_training_db(images, schedule, params, image_ids=image_ids)
+    db_s = time.perf_counter() - t0
     stats = fit_stats(db.features)
     V = standardize(db.features, stats)
     R = db.rd
-    diag = {"rows": db.n}
+    diag = {"rows": db.n, "db_s": db_s}
+    t0 = time.perf_counter()
     if kind == "lsq":
         payload = fit_linear(V, R)
+        diag["fit_s"] = time.perf_counter() - t0
         resid = V @ payload.theta - R
         diag["residual_norm"] = float(np.linalg.norm(resid))
         diag["rank_deficient"] = payload.rank_deficient
     elif kind == "svr":
         payload = fit_svr(V, R, seed=seed)
+        diag["fit_s"] = time.perf_counter() - t0
         diag["support_vectors"] = int(payload.support_vectors.shape[0])
         diag["converged"] = payload.converged
     elif kind == "nn":
         config = MlpConfig(epochs=epochs, seed=seed, activation=activation)
         payload, final_loss = fit_mlp(V, R, config)
+        diag["fit_s"] = time.perf_counter() - t0
         diag["final_epoch_loss"] = final_loss
     else:
         raise ValueError(f"unknown regressor kind {kind!r}")

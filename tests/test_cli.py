@@ -1,11 +1,13 @@
 """End-to-end and unit tests for the command-line interface."""
 
 import os
+import re
 import shutil
 import struct
 import subprocess
 import sys
 import zlib
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +194,30 @@ class TestTrain:
         stdout = capsys.readouterr().out
         assert "trained kind=lsq rows=30" in stdout
         assert f"wrote {out}" in stdout
+
+    @pytest.mark.parametrize("regressor", ["lsq", "nn"])
+    def test_summary_says_where_training_time_went(self, workdir, tmp_path, capsys, regressor):
+        rc = run_cli(
+            "train",
+            "--images",
+            workdir / "train_a.pgm",
+            "--regressor",
+            regressor,
+            "--densities",
+            "0.2",
+            "--samples-per-level",
+            "20",
+            "--out",
+            tmp_path / "m.slnm",
+        )
+        assert rc == EXIT_OK
+        line = capsys.readouterr().out.splitlines()[0]
+        # Decimal: printed to the millisecond, so the comparison is exact
+        db_s = Decimal(re.search(r"\bdb_s=(\d+\.\d{3})\b", line).group(1))
+        fit_s = Decimal(re.search(r"\bfit_s=(\d+\.\d{3})\b", line).group(1))
+        total = Decimal(re.search(r"\] in (\d+\.\d{3})s$", line).group(1))
+        assert db_s > 0
+        assert db_s + fit_s <= total
 
     def test_nn_training_via_cli(self, workdir, tmp_path, capsys):
         out = tmp_path / "nn.slnm"

@@ -55,6 +55,58 @@ class TestNeighborSearch:
                 got = list(zip(d2[row][valid[row]].tolist(), idx[row][valid[row]].tolist()))
                 assert got == expected
 
+    @staticmethod
+    def assert_every_row_canonical(queries, measured, width, height, count):
+        comp = neighbors.knn_measured(queries, measured, width, height, count)
+        d2, idx, valid = neighbors.decode(comp, width * height)
+        for row, q in enumerate(queries):
+            got = list(zip(d2[row][valid[row]].tolist(), idx[row][valid[row]].tolist()))
+            assert got == brute_force_knn(q, measured, width, count), int(q)
+
+    def test_tie_group_wider_than_the_query_pad_falls_back_exactly(self):
+        # 1105 = 4^2+33^2 = 9^2+32^2 = 12^2+31^2 = 23^2+24^2: 32 lattice points
+        # share d2 = 1105 around the centre, more than the count + pad
+        # candidates the tree returns, so the centre row takes the exhaustive
+        # fallback; 20 points on the top row are farther and force the tree
+        size, centre, count = 80, 40, 10
+        offsets = {
+            (sr * a, sc * b)
+            for a, b in ((4, 33), (9, 32), (12, 31), (23, 24))
+            for a, b in ((a, b), (b, a))
+            for sr in (-1, 1)
+            for sc in (-1, 1)
+        }
+        assert len(offsets) == 32 > count + neighbors._QUERY_PAD
+        ring = [(centre + dr) * size + centre + dc for dr, dc in offsets]
+        far = list(range(0, 80, 4))
+        measured = np.array(sorted(ring + far), dtype=np.int64)
+        assert measured.size > count + neighbors._BRUTE_FORCE_PAD
+        mask = np.zeros(size * size, dtype=bool)
+        mask[measured] = True
+        queries = np.flatnonzero(~mask)
+        self.assert_every_row_canonical(queries, measured, size, size, count)
+        comp = neighbors.knn_measured(np.array([centre * size + centre]), measured, size, size, count)
+        assert np.all(comp // (size * size) == 1105)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2])
+    def test_both_sides_of_the_brute_force_cut_over(self, extra):
+        count = 10
+        k = count + neighbors._BRUTE_FORCE_PAD + extra
+        mset = random_mset(40, 30, k, seed=k)
+        self.assert_every_row_canonical(
+            mset.unmeasured_indices(), mset.measured_indices(), 40, 30, count
+        )
+
+    @pytest.mark.parametrize("step", [3, 4, 8])
+    def test_lattice_mask(self, step):
+        width, height = 64, 48
+        grid = np.zeros((height, width), dtype=bool)
+        grid[::step, ::step] = True
+        measured = np.flatnonzero(grid)
+        assert measured.size > 10 + neighbors._BRUTE_FORCE_PAD  # the tree path
+        queries = np.flatnonzero(~grid.ravel())
+        self.assert_every_row_canonical(queries, measured, width, height, 10)
+
     def test_fewer_measured_than_requested(self):
         mset = random_mset(16, 16, 3, 0)
         queries = mset.unmeasured_indices()

@@ -50,6 +50,84 @@ def einsum_forward(weights, biases, x, activation):
     return (np.einsum("ij,jk->ik", h, weights[-1]) + biases[-1])[:, 0]
 
 
+def reference_loss_and_gradients(weights, biases, x, r, activation):
+    """The textbook pass with a fresh array for every intermediate."""
+    pre = []
+    post = [x]
+    h = x
+    for w, b in zip(weights[:-1], biases[:-1]):
+        z = h @ w + b
+        pre.append(z)
+        h = np.maximum(z, 0.0) if activation == "relu" else z
+        post.append(h)
+    pred = (h @ weights[-1] + biases[-1])[:, 0]
+    resid = pred - r
+    loss = 0.5 * float(resid @ resid)
+
+    grads_w = [None] * len(weights)
+    grads_b = [None] * len(biases)
+    delta = resid[:, None]
+    grads_w[-1] = post[-1].T @ delta
+    grads_b[-1] = delta.sum(axis=0)
+    back = delta @ weights[-1].T
+    for layer in range(len(weights) - 2, -1, -1):
+        if activation == "relu":
+            back = back * (pre[layer] > 0.0)
+        grads_w[layer] = post[layer].T @ back
+        grads_b[layer] = back.sum(axis=0)
+        if layer > 0:
+            back = back @ weights[layer].T
+    return loss, grads_w, grads_b
+
+
+def reference_adam_update(value, grad, m, v, step, config):
+    m_new = config.beta1 * m + (1.0 - config.beta1) * grad
+    v_new = config.beta2 * v + (1.0 - config.beta2) * grad * grad
+    m_hat = m_new / (1.0 - config.beta1**step)
+    v_hat = v_new / (1.0 - config.beta2**step)
+    updated = value - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+    return updated, m_new, v_new
+
+
+def reference_fit_mlp(V, R, config):
+    """The per-array training loop: one allocating Adam update per weight and bias array."""
+    n = V.shape[0]
+    weights, biases = init_params(V.shape[1], config.seed)
+    m_w = [np.zeros_like(w) for w in weights]
+    v_w = [np.zeros_like(w) for w in weights]
+    m_b = [np.zeros_like(b) for b in biases]
+    v_b = [np.zeros_like(b) for b in biases]
+    rng = np.random.default_rng(config.seed + 1)
+    step = 0
+    epoch_loss = 0.0
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for bi, start in enumerate(range(0, n, config.batch_size)):
+            sel = order[start : start + config.batch_size]
+            loss, gw, gb = reference_loss_and_gradients(
+                weights, biases, V[sel], R[sel], config.activation
+            )
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(epoch, bi, loss)
+            epoch_loss += loss
+            step += 1
+            for i in range(len(weights)):
+                weights[i], m_w[i], v_w[i] = reference_adam_update(
+                    weights[i], gw[i], m_w[i], v_w[i], step, config
+                )
+                biases[i], m_b[i], v_b[i] = reference_adam_update(
+                    biases[i], gb[i], m_b[i], v_b[i], step, config
+                )
+    return weights, biases, epoch_loss
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
 def relative_error(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-6)
 
@@ -100,6 +178,21 @@ class TestGradients:
             assert np.all(g == 0.0)
 
 
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    @pytest.mark.parametrize("m", [1, 7, 64])
+    def test_bits_equal_the_allocating_pass(self, activation, m):
+        rng = np.random.default_rng(m)
+        weights, biases = init_params(6, seed=m)
+        biases = [rng.standard_normal(b.shape) * 0.1 for b in biases]
+        x = rng.standard_normal((m, 6))
+        r = rng.standard_normal(m)
+        loss, grad_w, grad_b = loss_and_gradients(weights, biases, x, r, activation)
+        ref_loss, ref_w, ref_b = reference_loss_and_gradients(weights, biases, x, r, activation)
+        assert_same_bits(loss, ref_loss)
+        for got, want in zip(grad_w + grad_b, ref_w + ref_b):
+            assert_same_bits(got, want)
+
+
 class TestAdamStep:
     def test_hand_computed_first_step(self):
         # from zero state with gradient 1: m=0.1, v=0.001, mhat=1, vhat=1,
@@ -125,6 +218,19 @@ class TestAdamStep:
         vh = ev / (1.0 - 0.999**step)
         assert m_new == em and v_new == ev
         assert updated == value - 0.001 * mh / (math.sqrt(vh) + 1e-8)
+
+    def test_array_bits_equal_the_allocating_formula(self):
+        rng = np.random.default_rng(8)
+        config = MlpConfig()
+        value, grad = rng.standard_normal(500), rng.standard_normal(500)
+        m, v = rng.standard_normal(500) * 0.1, rng.uniform(0.0, 0.1, 500)
+        state = (value.copy(), grad.copy(), m.copy(), v.copy())
+        got = adam_update(value, grad, m, v, 17, config)
+        want = reference_adam_update(value, grad, m, v, 17, config)
+        for a, b in zip(got, want):
+            assert_same_bits(a, b)
+        for before, after in zip(state, (value, grad, m, v)):
+            assert_same_bits(before, after)  # the inputs are left as they were
 
     def test_gradient_direction_is_descent(self):
         config = MlpConfig()
@@ -251,8 +357,53 @@ class TestFitMlp:
         assert not np.isfinite(err.value.loss)
         assert "epoch 0" in str(err.value)
 
+    def test_divergence_in_a_later_batch_matches_the_per_array_loop(self):
+        # one overflowing target, placed where epoch 0 puts it in batch 1, so
+        # batch 0 first updates the weights
+        config = MlpConfig(epochs=2, batch_size=64, seed=4)
+        rng = np.random.default_rng(9)
+        V = rng.standard_normal((131, 6))
+        R = rng.standard_normal(131)
+        order = np.random.default_rng(config.seed + 1).permutation(131)
+        R[order[100]] = 1e200
+        errors = []
+        for fit in (reference_fit_mlp, fit_mlp):
+            with pytest.raises(TrainingDivergedError) as err:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    fit(V, R, config)
+            errors.append((err.value.epoch, err.value.batch, err.value.loss))
+        assert errors[0] == errors[1]
+        assert errors[1][:2] == (0, 1)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             MlpConfig(epochs=0)
         with pytest.raises(ValueError):
             MlpConfig(activation="tanh")
+
+
+class TestFitMlpBits:
+    """fit_mlp's flat-vector training against the per-array reference loop."""
+
+    @pytest.mark.parametrize(
+        "n, t, batch_size, activation, epochs",
+        [
+            (131, 6, 64, "relu", 12),  # a short last batch
+            (131, 6, 64, "identity", 12),
+            (40, 6, 100, "relu", 15),  # batch_size > n
+            (1, 6, 64, "relu", 30),
+            (50, 3, 7, "relu", 6),
+            (50, 3, 7, "identity", 6),
+        ],
+    )
+    def test_weights_biases_and_loss_are_bit_identical(self, n, t, batch_size, activation, epochs):
+        rng = np.random.default_rng(n * 10 + t)
+        V = rng.standard_normal((n, t))
+        R = rng.standard_normal(n)
+        config = MlpConfig(epochs=epochs, batch_size=batch_size, seed=3, activation=activation)
+        model, loss = fit_mlp(V, R, config)
+        ref_w, ref_b, ref_loss = reference_fit_mlp(V, R, config)
+        assert_same_bits(loss, ref_loss)
+        assert len(model.weights) == len(ref_w) and len(model.biases) == len(ref_b)
+        for got, want in zip(model.weights + model.biases, ref_w + ref_b):
+            assert_same_bits(got, want)

@@ -366,6 +366,7 @@ class TestTrainModel:
         assert model.kind == "lsq"
         assert diag["rows"] == db.n == 2 * 2 * 20
         assert "residual_norm" in diag and "rank_deficient" in diag
+        assert diag["db_s"] > 0 and diag["fit_s"] >= 0
         assert model.idw == PARAMS
         preds = predict_batch(model, db.features)
         assert preds.shape == (db.n,) and np.all(np.isfinite(preds))
