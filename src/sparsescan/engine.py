@@ -10,8 +10,11 @@ identical bits.  The uniform-random baseline runs the same loop.
 A step touches only pixels the new measurement can reach.  Two per-image-row
 caches bound the work: the largest k-th-neighbour composite of each row
 limits which neighbour lists an insertion has to look at, and the largest
-score of each row lets the argmax skip rows nothing changed in.  So a step
-costs what the neighbour reach and the window cost, not what the image does.
+score of each row lets the argmax skip rows nothing changed in.  What a
+neighbour list fixes (the IDW estimate and the list-only descriptor terms)
+is cached per pixel and recomputed only for the lists a step changed.  So a
+step costs what the neighbour reach and the window cost, not what the image
+does.
 """
 
 import math
@@ -32,7 +35,12 @@ from .core import (
     location_of,
     psnr,
 )
-from .features import compute_feature_matrix, measured_counts_grid
+from .features import (
+    NeighbourTerms,
+    compute_feature_matrix,
+    measured_counts_grid,
+    neighbour_terms,
+)
 from .recon import IdwParams, idw_from_neighbors, window_bounds
 from .regress import predict_batch
 
@@ -169,6 +177,14 @@ class ReconState:
     IDW estimate, or as recon when one is given, and each measurement
     re-estimates it inside its window only.
 
+    Everything that depends on a pixel's neighbour list alone is cached per
+    pixel: est, its IDW estimate, and terms, its neighbour_terms.  Measured
+    values never change, so for every active pixel est and terms equal, bit
+    for bit, what the current list gives, and so est equals
+    reconstruct(mset).  A measurement refreshes them for the pixels whose
+    lists changed, wherever they lie; re-estimating the window is then a
+    copy of est, and a feature row a gather of terms.
+
     reach[r] is the largest k-th-neighbour composite (comp[:, -1]) among the
     active pixels of image row r, or -1 when the row has none.  A new pixel
     enters the list of pixel p only if its composite d2 * N + index is below
@@ -196,16 +212,30 @@ class ReconState:
         self.comp = np.zeros((self.n, params.neighbors), dtype=np.int64)
         self.comp[unmeasured] = comp
         self.value_flat = mset.value_grid().ravel().copy()
+        k = params.neighbors
+        self.est = np.zeros(self.n)
+        self.terms = NeighbourTerms(
+            np.zeros((self.n, k)),
+            np.zeros((self.n, k), dtype=bool),
+            np.zeros(self.n),
+            np.zeros(self.n),
+            np.zeros(self.n),
+        )
+        self._refresh(unmeasured, comp)
         if recon is None:
             self.recon_flat = self.value_flat.copy()
-            self.recon_flat[unmeasured] = idw_from_neighbors(
-                comp, self.n, self.value_flat, params.power
-            )
+            self.recon_flat[unmeasured] = self.est[unmeasured]
         else:
             self.recon_flat = recon.values.ravel().copy()
         self.cnt = measured_counts_grid(mset.mask, params.window)
         self.reach = np.full(self.height, -1, dtype=np.int64)
         self._update_reach(np.arange(self.height))
+
+    def _refresh(self, pixels: np.ndarray, comp: np.ndarray) -> None:
+        """Recompute est and terms of pixels from their neighbour composites."""
+        self.est[pixels] = idw_from_neighbors(comp, self.n, self.value_flat, self.params.power)
+        for cache, fresh in zip(self.terms, neighbour_terms(comp, self.n, self.value_flat)):
+            cache[pixels] = fresh
 
     def _update_reach(self, rows: np.ndarray) -> None:
         last = self.comp[:, -1].reshape(self.height, self.width)[rows]
@@ -252,8 +282,7 @@ class ReconState:
             self.recon_flat.reshape(self.height, self.width),
             rr,
             cc,
-            self.comp[pixels],
-            self.value_flat,
+            NeighbourTerms(*(t.take(pixels, axis=0) for t in self.terms)),
             self.cnt[rr, cc],
             self.params,
         )
@@ -271,21 +300,20 @@ class ReconState:
         self.cnt[r0 : r1 + 1, c0 : c1 + 1] += 1
 
         reachable = self._reachable(lin)
-        comp = self.comp[reachable]
+        comp = self.comp.take(reachable, axis=0)
         changed = neighbors.insert_measurement(
             comp, reachable, lin, self.width, self.height, self.active[reachable]
         )
         affected = reachable[changed]
-        self.comp[affected] = comp[changed]
+        comp = comp[changed]
+        self.comp[affected] = comp
+        self._refresh(affected, comp)
         self._update_reach(np.unique(np.append(affected // self.width, lin // self.width)))
 
-        # IDW values can change only where the neighbor list changed, but the
-        # canonical update window matches the standalone incremental rebuild.
+        # est is current for every active pixel, but the reconstruction takes
+        # it inside the window only, as the standalone incremental rebuild does.
         in_window = self.active_rows_in_box(loc, w)
-        if in_window.size:
-            self.recon_flat[in_window] = idw_from_neighbors(
-                self.comp[in_window], self.n, self.value_flat, self.params.power
-            )
+        self.recon_flat[in_window] = self.est[in_window]
         return affected
 
     def active_rows_in_box(self, loc, halfwidth: int) -> np.ndarray:

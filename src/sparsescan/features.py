@@ -10,11 +10,21 @@ Six features in fixed order for an unmeasured pixel s:
 
 Gradients are central differences halved, falling back to one-sided at the
 borders.  f6 always divides by the full (2w+1)^2 window area, so border
-pixels see smaller fractions.  The batch path and the single-pixel path run
-the same arithmetic, so they agree bitwise.
+pixels see smaller fractions.
+
+The features depend on three different inputs:
+  - f3 and f5, with the neighbour values and their valid mask, depend only
+    on the pixel's neighbour list (measured values never change), so
+    neighbour_terms computes them once per list;
+  - f1, f2 and f4 read the reconstruction (f4 compares the estimate at s
+    with the neighbour values), and compute_feature_matrix assembles them;
+  - f6 depends only on the window's measured count.
+The batch path and the single-pixel path call the same two functions, so
+they agree bitwise.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,45 +108,64 @@ def measured_counts_grid(mask: np.ndarray, halfwidth: int) -> np.ndarray:
     )
 
 
+class NeighbourTerms(NamedTuple):
+    """Descriptor inputs fixed by the neighbour lists alone, one row per pixel."""
+
+    vals: np.ndarray  # (m, k) neighbour values, 0.0 in invalid slots
+    valid: np.ndarray  # (m, k) which slots hold a measured neighbour
+    counts: np.ndarray  # (m,) valid slots, as float64
+    f3: np.ndarray  # (m,)
+    f5: np.ndarray  # (m,)
+
+
+def neighbour_terms(comp: np.ndarray, n: int, value_flat: np.ndarray) -> NeighbourTerms:
+    """The list-only descriptor terms of rows of canonical neighbour composites.
+
+    Each row depends on its own composites and the measured values alone,
+    with a fixed reduction, so it is bitwise independent of the batch.
+    """
+    d2, idx, valid = neighbors.decode(comp, n)
+    vals = np.where(valid, value_flat[idx], 0.0)
+    counts = valid.sum(axis=1).astype(np.float64)
+    nb_mean = np.sum(vals, axis=1) / counts
+    f3 = np.sqrt(np.sum(np.where(valid, (vals - nb_mean[:, None]) ** 2, 0.0), axis=1) / counts)
+    f5 = np.sqrt(d2[:, 0].astype(np.float64))
+    return NeighbourTerms(vals, valid, counts, f3, f5)
+
+
 def compute_feature_matrix(
     recon_grid: np.ndarray,
     rows: np.ndarray,
     cols: np.ndarray,
-    comp: np.ndarray,
-    value_flat: np.ndarray,
+    terms: NeighbourTerms,
     window_counts: np.ndarray,
     params: IdwParams,
 ) -> np.ndarray:
-    """Shared feature arithmetic over prepared neighbor state.
+    """Descriptor rows from the list-only terms and the current reconstruction.
 
-    recon_grid is the current (h, w) reconstruction, comp holds canonical
-    neighbor composites for each target row, window_counts the number of
+    recon_grid is the current (h, w) reconstruction, terms the
+    neighbour_terms of each target row, window_counts the number of
     measured pixels within Chebyshev radius params.window of each target.
     """
     h, w = recon_grid.shape
-    n = h * w
-    d2, idx, valid = neighbors.decode(comp, n)
-    dist = np.sqrt(d2.astype(np.float64))
-    vals = np.where(valid, value_flat[idx], 0.0)
-    counts = valid.sum(axis=1).astype(np.float64)
-
-    center = recon_grid[rows, cols]
-    left = recon_grid[rows, np.maximum(cols - 1, 0)]
-    right = recon_grid[rows, np.minimum(cols + 1, w - 1)]
-    up = recon_grid[np.maximum(rows - 1, 0), cols]
-    down = recon_grid[np.minimum(rows + 1, h - 1), cols]
-    denom_h = (cols > 0).astype(np.float64) + (cols < w - 1).astype(np.float64)
-    denom_v = (rows > 0).astype(np.float64) + (rows < h - 1).astype(np.float64)
+    flat = recon_grid.ravel()
+    lin = rows * w + cols
+    has_left, has_right = cols > 0, cols < w - 1
+    has_up, has_down = rows > 0, rows < h - 1
+    center = flat[lin]
+    left = flat[lin - has_left]
+    right = flat[lin + has_right]
+    up = flat[lin - w * has_up]
+    down = flat[lin + w * has_down]
+    denom_h = has_left.astype(np.float64) + has_right.astype(np.float64)
+    denom_v = has_up.astype(np.float64) + has_down.astype(np.float64)
     f1 = np.where(denom_h > 0, np.abs(right - left) / np.maximum(denom_h, 1.0), 0.0)
     f2 = np.where(denom_v > 0, np.abs(down - up) / np.maximum(denom_v, 1.0), 0.0)
-
-    nb_mean = np.sum(vals, axis=1) / counts
-    f3 = np.sqrt(np.sum(np.where(valid, (vals - nb_mean[:, None]) ** 2, 0.0), axis=1) / counts)
-    f4 = np.sum(np.where(valid, np.abs(center[:, None] - vals), 0.0), axis=1) / counts
-    f5 = dist[:, 0]
+    diff = np.where(terms.valid, np.abs(center[:, None] - terms.vals), 0.0)
+    f4 = np.sum(diff, axis=1) / terms.counts
     area = float((2 * params.window + 1) ** 2)
     f6 = window_counts.astype(np.float64) / area
-    return np.stack([f1, f2, f3, f4, f5, f6], axis=1)
+    return np.stack([f1, f2, terms.f3, f4, terms.f5, f6], axis=1)
 
 
 def extract_features(
@@ -159,13 +188,8 @@ def extract_features(
     )
     r0, r1, c0, c1 = window_bounds(s, mset.width, mset.height, params.window)
     count = np.array([np.count_nonzero(mset.mask[r0 : r1 + 1, c0 : c1 + 1])], dtype=np.int64)
+    terms = neighbour_terms(comp, mset.width * mset.height, mset.value_grid().ravel())
     matrix = compute_feature_matrix(
-        recon.values,
-        np.array([s.row]),
-        np.array([s.col]),
-        comp,
-        mset.value_grid().ravel(),
-        count,
-        params,
+        recon.values, np.array([s.row]), np.array([s.col]), terms, count, params
     )
     return FeatureVector(location=s, values=matrix[0])

@@ -41,10 +41,10 @@ def check_grid_capacity(width: int, height: int) -> None:
 def decode(comp: np.ndarray, n: int):
     """Split composites into (d2, index, valid); invalid slots get d2=1, idx=0."""
     valid = comp < SENTINEL
+    # an invalid slot decodes as the composite n: d2 = 1, index 0
     safe = np.where(valid, comp, np.int64(n))
     d2 = safe // n
-    idx = safe - d2 * n
-    return np.where(valid, d2, 1), np.where(valid, idx, 0), valid
+    return d2, safe - d2 * n, valid
 
 
 def knn_measured(

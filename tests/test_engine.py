@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sparsescan import neighbors
+from sparsescan import engine, neighbors
 from sparsescan.core import (
     PSNR_CAP_DB,
     GroundTruthImage,
@@ -25,7 +25,7 @@ from sparsescan.engine import (
     save_history_csv,
     select_next,
 )
-from sparsescan.features import FeatureStats
+from sparsescan.features import FeatureStats, neighbour_terms
 from sparsescan.recon import IdwParams, reconstruct
 from sparsescan.regress import ErdModel, LinearModel, MlpModel, predict_batch
 from sparsescan.regress.mlp import init_params
@@ -256,8 +256,11 @@ class TestRunSampling:
 
     @staticmethod
     def assert_caches_match_rebuild(state, policy):
-        """The incremental neighbour lists equal a from-scratch kNN search,
-        and the per-row reach and score maxima equal their recomputation."""
+        """The incremental neighbour lists equal a from-scratch kNN search;
+        every active pixel's cached list terms equal neighbour_terms of that
+        search and its cached estimate equals reconstruct(mset), bit for
+        bit; and the per-row reach and score maxima equal their
+        recomputation."""
         h, w = state.height, state.width
         active = np.flatnonzero(state.active)
         if active.size:
@@ -265,6 +268,11 @@ class TestRunSampling:
                 active, state.mset.measured_indices(), w, h, state.params.neighbors
             )
             np.testing.assert_array_equal(state.comp[active], rebuilt)
+            fresh = neighbour_terms(rebuilt, state.n, state.mset.value_grid().ravel())
+            for name, cached, want in zip(fresh._fields, state.terms, fresh):
+                assert cached[active].tobytes() == want.tobytes(), name
+            ref = reconstruct(state.mset, state.params).values.ravel()
+            assert state.est[active].tobytes() == ref[active].tobytes()
         reach = np.where(state.active, state.comp[:, -1], -1).reshape(h, w).max(axis=1)
         np.testing.assert_array_equal(state.reach, reach)
         row_max = np.where(state.active, policy.scores, -np.inf).reshape(h, w).max(axis=1)
@@ -386,6 +394,38 @@ class TestRunSampling:
             mean[size] = np.mean(scanned)
         assert mean[128] < 2 * mean[64]
         assert mean[128] < 128 * 128 / 8
+
+    def test_idw_work_is_the_changed_lists(self, trained_lsq, monkeypatch):
+        # rows handed to the IDW estimate per greedy step: the pixels whose
+        # neighbour lists changed, not every active pixel of the window
+        passed = []
+        idw = engine.idw_from_neighbors
+
+        def counting(comp, *args):
+            passed.append(len(comp))
+            return idw(comp, *args)
+
+        steps = []
+        measure = ReconState.measure
+
+        def recording(state, loc, value):
+            passed.clear()
+            changed = measure(state, loc, value)
+            window = state.active_rows_in_box(loc, state.params.window).size
+            steps.append((sum(passed), changed.size, window))
+            return changed
+
+        monkeypatch.setattr(engine, "idw_from_neighbors", counting)
+        monkeypatch.setattr(ReconState, "measure", recording)
+        cfg = self.small_config(initial_density=0.01, budget_density=0.03, checkpoint_densities=())
+        run_sampling(SimulatedSource(blob_image(64, seed=1)), trained_lsq, cfg)
+        assert len(steps) == math.ceil(0.03 * 64**2) - math.ceil(0.01 * 64**2)
+        for step, (rows, changed, _) in enumerate(steps):
+            assert rows == changed, f"step {step}"
+        # a step can change more lists than its window holds (17 of the 82
+        # here, 16 of them with windows the border clips), but not in sum
+        rows, _, window = np.sum(steps, axis=0)
+        assert rows < window
 
     def test_checkpoints_fire_at_first_reaching_step(self, trained_lsq):
         image = blob_image(size=16, seed=11)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from sparsescan.core import MeasurementSet, PixelLocation, Reconstruction
+from sparsescan.engine import ReconState
 from sparsescan.features import (
     FEATURE_COUNT,
     STD_FLOOR,
@@ -153,6 +154,45 @@ class TestDescriptorValues:
         a = extract_features(recon, mset, s, params)
         b = extract_features(recon, mset, s, params)
         assert np.array_equal(a.values, b.values)
+
+
+class TestBatchMatchesSinglePixel:
+    """The engine's batch path (ReconState.features) and extract_features
+    share every formula, so each batch row equals the single-pixel
+    descriptor bit for bit."""
+
+    @staticmethod
+    def assert_rows_match(mset, recon, params, pixels=None):
+        state = ReconState(mset, params, recon)
+        if pixels is None:
+            pixels = np.flatnonzero(state.active)
+        assert pixels.size
+        batch = state.features(pixels)
+        for row, lin in zip(batch, pixels):
+            fv = extract_features(recon, mset, divmod(int(lin), mset.width), params)
+            assert row.tobytes() == fv.values.tobytes(), f"pixel {lin}"
+
+    def test_fewer_measured_than_neighbours(self):
+        # four measured pixels for ten neighbours: six invalid slots per list
+        params = IdwParams(neighbors=10, window=3)
+        self.assert_rows_match(*random_case(9, 9, 4, 0, params), params)
+
+    def test_border_pixels(self):
+        params = IdwParams(neighbors=6, window=3)
+        for seed in range(3):
+            mset, recon = random_case(12, 12, 20, seed, params)
+            r, c = np.divmod(mset.unmeasured_indices(), 12)
+            border = (r == 0) | (r == 11) | (c == 0) | (c == 11)
+            self.assert_rows_match(mset, recon, params, mset.unmeasured_indices()[border])
+
+    @pytest.mark.parametrize("shape", ((1, 20), (20, 1)), ids=("1x20", "20x1"))
+    def test_single_row_or_column_grid(self, shape):
+        params = IdwParams(neighbors=4, window=2)
+        self.assert_rows_match(*random_case(shape[1], shape[0], 3, 1, params), params)
+
+    def test_non_square_grid(self):
+        params = IdwParams(neighbors=5, window=2)
+        self.assert_rows_match(*random_case(13, 7, 12, 2, params), params)
 
 
 class TestDescriptorInvariances:

@@ -113,6 +113,7 @@ class TestNeighborSearch:
         comp = neighbors.knn_measured(queries, mset.measured_indices(), 16, 16, 10)
         d2, idx, valid = neighbors.decode(comp, 256)
         assert np.all(valid.sum(axis=1) == 3)
+        assert np.all(d2[~valid] == 1) and np.all(idx[~valid] == 0)
 
     def test_insertion_preserves_canonical_lists(self):
         # inserting one measurement must leave every row equal to a rebuild
