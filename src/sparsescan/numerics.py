@@ -9,11 +9,13 @@ shape, so a row's bits change with the rows around it.  Three techniques avoid t
 - ``stable_matmul`` (the MLP forward pass) pushes rows through ``np.matmul``
   in zero-padded tiles of one fixed shape, ``ROW_TILE`` rows, so every call
   runs the same BLAS kernel on the same tile shape.
-- ``column_tile_product`` (SVR prediction) turns the tile round: the support
-  vectors are the rows of the left operand and up to ``ROW_TILE`` query rows
-  are the zero-padded columns of the right one.  A row tile of that cross
-  product, (ROW_TILE, t) @ (t, support vectors), is not row-position
-  invariant on the OpenBLAS this was measured with; the column tile is.
+- ``column_tile_product`` (SVR prediction) turns the tile round: a slab of
+  ``ROW_TILE`` support-vector rows, each extended by two terms, is the left
+  operand and up to ``ROW_TILE`` query rows, each extended likewise, are the
+  zero-padded columns of the right one, so the product is already
+  -gamma * d2.  A row tile of the plain cross product, (ROW_TILE, t) @ (t,
+  support vectors), is not row-position invariant on the OpenBLAS this was
+  measured with; the column tile is.
 - ``stable_matvec`` (lsq) and ``stable_cross_sq_dists`` (SVR training, and
   SVR prediction where the column tile fails its self-test) use ``einsum``,
   whose per-element reduction order depends only on the contracted length.
@@ -111,7 +113,10 @@ def _tiles_row_invariant(k: int, n: int) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def _tiles_column_invariant(n: int, k: int) -> bool:
-    """Whether ``column_tile_product`` is column-position invariant for (n, k) rows."""
+    """Whether ``column_tile_product`` is column-position invariant for (n, k) rows.
+
+    SVR prediction asks only for its slab shape, (ROW_TILE, features + 2).
+    """
     rng = np.random.default_rng(0)
     return _position_invariant(
         _blas_column_tiles, rng.standard_normal((ROW_TILE, k)), rng.standard_normal((n, k))
@@ -124,7 +129,7 @@ def matmul_path(k: int, n: int) -> str:
 
 
 def cross_path(n: int, k: int) -> str:
-    """Which path SVR prediction's cross product takes for (n, k) support vectors."""
+    """Which path a column-tile product takes for (n, k) left operands."""
     return f"blas-coltile{ROW_TILE}" if _tiles_column_invariant(n, k) else "einsum"
 
 

@@ -5,12 +5,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..features import FeatureStats, FeatureVector, standardize
-from ..numerics import cross_path, matmul_path, stable_matvec
+from ..numerics import matmul_path, stable_matvec
 from ..recon import IdwParams
 from .linear import LinearModel, fit_linear
 from .mlp import MlpConfig, MlpModel, TrainingDivergedError, fit_mlp
 from .mlp import forward as _mlp_forward
-from .svr import SvrModel, fit_svr, predict_svr
+from .svr import SvrModel, fit_svr, predict_svr, slab_path
 
 KINDS = ("lsq", "svr", "nn")
 _PAYLOAD_TYPES = {"lsq": LinearModel, "svr": SvrModel, "nn": MlpModel}
@@ -61,14 +61,14 @@ def prediction_path(model: ErdModel) -> str:
     """The product path predict_batch runs for model, as effective.cfg reports it.
 
     nn layers go through stable_matmul (``blas-tile256``, or ``einsum`` for a
-    weight shape whose self-test failed); svr's cross product goes through
-    column tiles (``blas-coltile256``, or ``einsum`` when its self-test failed
-    for the support vectors' shape); lsq always uses einsum.
+    weight shape whose self-test failed); svr's kernel goes through column
+    tiles of (256, features + 2) slabs (``blas-coltile256``, or ``einsum`` when
+    that shape's self-test failed); lsq always uses einsum.
     """
     if model.kind == "nn":
         return "+".join(sorted({matmul_path(*w.shape) for w in model.payload.weights}))
     if model.kind == "svr":
-        return cross_path(*model.payload.support_vectors.shape)
+        return slab_path(model.payload.support_vectors.shape[1])
     return "einsum"
 
 

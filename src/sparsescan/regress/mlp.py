@@ -186,7 +186,9 @@ def _adam_step(value, grad, m, v, step: int, config: MlpConfig, work) -> None:
     """adam_update in place on value, m and v; work is two arrays of their shape.
 
     Each operation is the one the formula in adam_update spells, in its order,
-    so the in-place bits equal the allocating ones.
+    so the in-place bits equal the allocating ones.  Once 1 - beta1**step
+    rounds to 1.0 (from step 356 for beta1 = 0.9), m / 1.0 is m bit for bit,
+    and that divide, slow over subnormal moments, is skipped.
     """
     a, b = work
     np.multiply(m, config.beta1, out=m)
@@ -196,11 +198,15 @@ def _adam_step(value, grad, m, v, step: int, config: MlpConfig, work) -> None:
     np.multiply(grad, 1.0 - config.beta2, out=a)
     a *= grad
     v += a
-    np.divide(m, 1.0 - config.beta1**step, out=a)
+    c1 = 1.0 - config.beta1**step
+    if c1 == 1.0:
+        np.multiply(m, config.learning_rate, out=a)
+    else:
+        np.divide(m, c1, out=a)
+        a *= config.learning_rate
     np.divide(v, 1.0 - config.beta2**step, out=b)
     np.sqrt(b, out=b)
     b += config.adam_eps
-    a *= config.learning_rate
     a /= b
     value -= a
 

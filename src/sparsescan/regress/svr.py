@@ -3,7 +3,9 @@
 The dual is solved by sequential pairwise optimization over the doubled
 variable vector a = [alpha; alpha*], picking the maximal violating pair
 until the KKT gap drops below tol.  Prediction is
-sum_i coeff_i * exp(-gamma * ||v - sv_i||^2) + b.
+sum_i coeff_i * exp(-gamma * ||v - sv_i||^2) + b, with -gamma * ||v - sv_i||^2
+computed by one BLAS product per slab of support vectors; training and
+rbf_kernel keep the einsum distances of numerics.stable_cross_sq_dists.
 """
 
 from dataclasses import dataclass
@@ -166,46 +168,53 @@ def fit_svr(
     )
 
 
+def slab_path(t: int) -> str:
+    """Which product path predict_svr takes for t features."""
+    return cross_path(ROW_TILE, t + 2)
+
+
 def predict_svr(model: SvrModel, v: np.ndarray) -> np.ndarray:
     """Batch-composition-stable prediction for standardized rows v (m, t).
 
-    The kernel is built ROW_TILE query rows at a time as one (nsv, ROW_TILE)
-    column tile.  Its cross product is column_tile_product of the
-    pre-doubled support vectors (scaling by 2 is exact) against the rows as
-    zero-padded columns, and every later pass, down to the coefficient sums
-    of the columns, runs on the whole tile.  So every block runs the same
-    operations on the same shapes, and a query's bits depend only on its own
-    column; a call costs at least one full tile.  A support-vector shape
-    whose column tile fails its self-test keeps the einsum blocks, whose
-    rows do not depend on the block they are computed in.  Every block
-    reuses the same working arrays: fresh ones per block make the allocator
-    hand their pages back and fault them in again, which cost more than the
-    arithmetic.
+    BLAS computes -gamma * d2 itself: with left rows [2 gamma sv_i,
+    -gamma |sv_i|^2, -gamma] and right columns [v_j; 1; |v_j|^2], the
+    product is -gamma (|sv_i|^2 + |v_j|^2 - 2 sv_i . v_j).  The kernel of
+    ROW_TILE query rows is built one slab of ROW_TILE support vectors at a
+    time, each slab one column_tile_product of shape (ROW_TILE, t + 2) @
+    (t + 2, ROW_TILE), the last slab's rows and the last block's columns
+    zero-padded; each slab is clamped at 0 (rounding can leave it slightly
+    positive) and exponentiated while it is still in cache, and the
+    coefficient sums then run over the support vectors' rows.  So every
+    product has one shape, a query's bits depend only on its own column,
+    and a call costs at least one block of slabs.  When that shape fails its
+    self-test, prediction keeps the einsum blocks, whose rows do not depend
+    on the block they are computed in.
     """
-    sv = model.support_vectors
-    if cross_path(*sv.shape) == "einsum":
+    nsv, t = model.support_vectors.shape
+    if slab_path(t) == "einsum":
         return _predict_einsum_blocks(model, v)
-    nsv, t = sv.shape
-    sv2 = 2.0 * sv
-    bb = np.einsum("ij,ij->i", sv, sv)
-    tile = np.empty((t, ROW_TILE))
-    aa = np.empty(ROW_TILE)
-    k, cross = np.empty((2, nsv, ROW_TILE))
+    sv = model.support_vectors
+    gamma = model.gamma
+    left = np.zeros((-(-nsv // ROW_TILE) * ROW_TILE, t + 2))
+    np.multiply(sv, 2.0 * gamma, out=left[:nsv, :t])
+    left[:nsv, t] = -gamma * np.einsum("ij,ij->i", sv, sv)
+    left[:nsv, t + 1] = -gamma
+    aug = np.empty((min(v.shape[0], ROW_TILE), t + 2))
+    aug[:, t] = 1.0
+    tile = np.empty((t + 2, ROW_TILE))
+    k = np.empty((left.shape[0], ROW_TILE))
     out = np.empty(v.shape[0])
     for start in range(0, v.shape[0], ROW_TILE):
         block = v[start : start + ROW_TILE]
         rows = block.shape[0]
-        aa[:rows] = np.einsum("ij,ij->i", block, block)
-        aa[rows:] = 0.0
-        column_tile_product(sv2, block, tile, cross)
-        np.copyto(k, aa[None, :])
-        k += bb[:, None]
-        k -= cross
-        # negative values only from rounding; distances are squared magnitudes
-        np.maximum(k, 0.0, out=k)
-        k *= -model.gamma
-        np.exp(k, out=k)
-        out[start : start + rows] = np.einsum("ij,i->j", k, model.coefficients)[:rows]
+        aug[:rows, :t] = block
+        aug[:rows, t + 1] = np.einsum("ij,ij->i", block, block)
+        for s in range(0, left.shape[0], ROW_TILE):
+            slab = k[s : s + ROW_TILE]
+            column_tile_product(left[s : s + ROW_TILE], aug[:rows], tile, slab)
+            np.minimum(slab, 0.0, out=slab)
+            np.exp(slab, out=slab)
+        out[start : start + rows] = np.einsum("ij,i->j", k[:nsv], model.coefficients)[:rows]
     return out + model.bias
 
 

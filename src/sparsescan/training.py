@@ -25,7 +25,7 @@ from .features import FEATURE_COUNT, fit_stats, standardize
 from .features import compute_feature_matrix  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .numerics import exact_abs_sum
 from .recon import IdwParams, idw_from_neighbors, window_bounds
-from .regress import ErdModel
+from .regress import KINDS, ErdModel
 from .regress.linear import fit_linear
 from .regress.mlp import MlpConfig, fit_mlp
 from .regress.svr import fit_svr
@@ -263,6 +263,8 @@ def train_erd_model(
     db_s and fit_s, the seconds spent building the database and fitting the
     regressor.
     """
+    if kind not in KINDS:
+        raise ValueError(f"unknown regressor kind {kind!r}")
     t0 = time.perf_counter()
     db = generate_training_db(images, schedule, params, image_ids=image_ids)
     db_s = time.perf_counter() - t0
@@ -282,13 +284,11 @@ def train_erd_model(
         diag["fit_s"] = time.perf_counter() - t0
         diag["support_vectors"] = int(payload.support_vectors.shape[0])
         diag["converged"] = payload.converged
-    elif kind == "nn":
+    else:
         config = MlpConfig(epochs=epochs, seed=seed, activation=activation)
         payload, final_loss = fit_mlp(V, R, config)
         diag["fit_s"] = time.perf_counter() - t0
         diag["final_epoch_loss"] = final_loss
-    else:
-        raise ValueError(f"unknown regressor kind {kind!r}")
     model = ErdModel(
         kind=kind,
         payload=payload,

@@ -171,7 +171,7 @@ class TestTiledMatmul:
 
 
 class TestColumnTiles:
-    """SVR's cross product runs as (n, k) @ (k, ROW_TILE) column tiles behind
+    """SVR's kernel runs as (ROW_TILE, k) @ (k, ROW_TILE) column tiles behind
     the same self-test, turned round."""
 
     def test_product_fills_padded_columns_with_zeros(self):
@@ -188,13 +188,13 @@ class TestColumnTiles:
 
     def test_self_test_accepts_an_invariant_product(self, fresh_self_test, monkeypatch):
         monkeypatch.setattr(numerics, "_blas_column_tiles", lambda a, b: _einsum_matmul(a, b.T))
-        assert cross_path(1927, 6) == f"blas-coltile{ROW_TILE}"
+        assert cross_path(ROW_TILE, 8) == f"blas-coltile{ROW_TILE}"
 
     def test_failed_self_test_reports_einsum(self, fresh_self_test, monkeypatch):
         monkeypatch.setattr(
             numerics, "_blas_column_tiles", lambda a, b: _position_dependent(a, b.T)
         )
-        assert cross_path(1927, 6) == "einsum"
+        assert cross_path(ROW_TILE, 8) == "einsum"
 
 
 class TestExactAbsSum:

@@ -220,15 +220,20 @@ class TestAdamStep:
         assert updated == value - 0.001 * mh / (math.sqrt(vh) + 1e-8)
 
     def test_array_bits_equal_the_allocating_formula(self):
+        # from step 356 on, 1 - beta1**step is 1.0 and the update skips the
+        # divide by it; subnormal first moments are where that divide is slow
         rng = np.random.default_rng(8)
         config = MlpConfig()
         value, grad = rng.standard_normal(500), rng.standard_normal(500)
         m, v = rng.standard_normal(500) * 0.1, rng.uniform(0.0, 0.1, 500)
+        grad[:100] *= 1e-310
+        m[:100] *= 1e-310
         state = (value.copy(), grad.copy(), m.copy(), v.copy())
-        got = adam_update(value, grad, m, v, 17, config)
-        want = reference_adam_update(value, grad, m, v, 17, config)
-        for a, b in zip(got, want):
-            assert_same_bits(a, b)
+        for step in (17, 300, 400):
+            got = adam_update(value, grad, m, v, step, config)
+            want = reference_adam_update(value, grad, m, v, step, config)
+            for a, b in zip(got, want):
+                assert_same_bits(a, b)
         for before, after in zip(state, (value, grad, m, v)):
             assert_same_bits(before, after)  # the inputs are left as they were
 
@@ -392,6 +397,7 @@ class TestFitMlpBits:
             (131, 6, 64, "identity", 12),
             (40, 6, 100, "relu", 15),  # batch_size > n
             (1, 6, 64, "relu", 30),
+            (50, 3, 7, "relu", 60),  # 480 steps: from step 356 on, 1 - beta1**step is 1.0
             (50, 3, 7, "relu", 6),
             (50, 3, 7, "identity", 6),
         ],

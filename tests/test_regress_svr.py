@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import minimize
 
 from sparsescan import numerics
-from sparsescan.numerics import ROW_TILE, cross_path
+from sparsescan.numerics import ROW_TILE, stable_cross_sq_dists
 from sparsescan.regress.svr import (
     SvrModel,
     auto_gamma,
@@ -15,6 +15,7 @@ from sparsescan.regress.svr import (
     fit_svr,
     predict_svr,
     rbf_kernel,
+    slab_path,
 )
 
 
@@ -63,14 +64,14 @@ def toy_dataset(seed, n=30):
     return V, R
 
 
-def random_svr(nsv, seed):
+def random_svr(nsv, seed, t=6):
     """An SvrModel with nsv random support vectors; prediction needs no fit."""
     rng = np.random.default_rng(seed)
     return SvrModel(
-        support_vectors=rng.standard_normal((nsv, 6)),
+        support_vectors=rng.standard_normal((nsv, t)),
         coefficients=rng.uniform(-1.0, 1.0, nsv),
         bias=0.25,
-        gamma=1.0 / 6.0,
+        gamma=1.0 / t,
         c=1.0,
         epsilon=0.1,
     )
@@ -80,6 +81,23 @@ def whole_batch_formula(model, q):
     """The einsum kernel of rbf_kernel over the whole batch, then the weighted sum."""
     k = rbf_kernel(q, model.support_vectors, model.gamma)
     return np.einsum("ij,j->i", k, model.coefficients) + model.bias
+
+
+def extended_precision_formula(model, q):
+    """whole_batch_formula evaluated in np.longdouble, 100 query rows at a time.
+
+    Where longdouble is the x87 80-bit format, its 64-bit significand puts
+    the rounding of this evaluation some 2,000 times below float64's.
+    """
+    sv = model.support_vectors.astype(np.longdouble)
+    gamma = np.longdouble(model.gamma)
+    coefficients = model.coefficients.astype(np.longdouble)
+    out = np.empty(q.shape[0], dtype=np.longdouble)
+    for start in range(0, q.shape[0], 100):
+        block = q[start : start + 100].astype(np.longdouble)
+        k = np.exp(-gamma * stable_cross_sq_dists(block, sv))
+        out[start : start + 100] = np.einsum("ij,j->i", k, coefficients)
+    return out + np.longdouble(model.bias)
 
 
 @pytest.fixture
@@ -236,12 +254,13 @@ class TestPrediction:
 
     @pytest.mark.parametrize("nsv", [23, 1927])
     def test_support_vector_shapes_take_the_column_tiles(self, nsv):
-        # fails on a BLAS build whose column tiles are not position invariant:
+        # fails on a BLAS build whose slab product is not position invariant:
         # prediction there is correct but runs the slower einsum blocks
-        assert cross_path(nsv, 6) == f"blas-coltile{ROW_TILE}"
+        model = random_svr(nsv, seed=nsv)
+        assert slab_path(model.support_vectors.shape[1]) == f"blas-coltile{ROW_TILE}"
 
     @pytest.mark.parametrize("m", [1, ROW_TILE - 1, ROW_TILE, ROW_TILE + 1, 1000])
-    @pytest.mark.parametrize("nsv", [23, 1927])
+    @pytest.mark.parametrize("nsv", [1, 23, ROW_TILE - 1, ROW_TILE, ROW_TILE + 1, 1927])
     def test_rows_independent_of_batch_across_tile_edges(self, m, nsv):
         model = random_svr(nsv, seed=nsv)
         rng = np.random.default_rng(m)
@@ -252,13 +271,33 @@ class TestPrediction:
         for i in {0, min(ROW_TILE - 1, m - 1), min(ROW_TILE, m - 1), m - 1}:
             assert predict_svr(model, q[i : i + 1])[0] == full[i]
 
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+        reason="np.longdouble is no wider than float64 here",
+    )
     @pytest.mark.parametrize("nsv", [23, 1927])
     def test_agrees_with_einsum_reference(self, nsv):
+        # the reference is the einsum formula in extended precision: in
+        # float64 that formula is itself off by up to 1.2e-12 relative on
+        # these rows at nsv=23, more than the slab path
         model = random_svr(nsv, seed=nsv + 1)
         q = np.random.default_rng(16).standard_normal((1000, 6))
-        np.testing.assert_allclose(
-            predict_svr(model, q), whole_batch_formula(model, q), rtol=1e-12, atol=0.0
-        )
+        want = extended_precision_formula(model, q)
+        got = predict_svr(model, q).astype(np.longdouble)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    def test_query_at_a_support_vector_has_kernel_at_most_one(self):
+        # with one coefficient 1, the others 0 and no bias, a prediction is
+        # one kernel value; at its own support vector d2 is 0, and rounding
+        # leaves -gamma * d2 above 0 for about half of these vectors
+        rng = np.random.default_rng(18)
+        sv = 10.0 * rng.standard_normal((1927, 6))
+        for i in sorted({*range(0, 1927, 7), ROW_TILE - 1, ROW_TILE, 1926}):
+            coefficients = np.zeros(1927)
+            coefficients[i] = 1.0
+            model = SvrModel(sv, coefficients, bias=0.0, gamma=1.0 / 6.0, c=1.0, epsilon=0.1)
+            k = predict_svr(model, sv[i : i + 1])[0]
+            assert 1.0 - 1e-12 <= k <= 1.0
 
     def test_failed_self_test_keeps_whole_batch_formula_bits(
         self, fresh_column_self_test, monkeypatch
@@ -272,20 +311,21 @@ class TestPrediction:
         monkeypatch.setattr(numerics, "_blas_column_tiles", position_dependent)
         V, R = toy_dataset(15)
         model = fit_svr(V, R)
-        assert cross_path(*model.support_vectors.shape) == "einsum"
+        assert slab_path(V.shape[1]) == "einsum"
         rng = np.random.default_rng(16)
         for m in (1, ROW_TILE - 1, ROW_TILE, ROW_TILE + 1, 1000):
             q = rng.standard_normal((m, V.shape[1]))
             assert np.array_equal(predict_svr(model, q), whole_batch_formula(model, q))
 
     def test_self_test_runs_once_per_shape(self, fresh_column_self_test):
+        # the slab shape depends on the feature count alone
         rng = np.random.default_rng(17)
-        for nsv in (23, 40):
-            model = random_svr(nsv, seed=nsv)
+        for nsv, t in ((23, 6), (40, 6), (300, 6), (23, 4)):
+            model = random_svr(nsv, seed=nsv, t=t)
             for m in (3, 300, 700):
-                predict_svr(model, rng.standard_normal((m, 6)))
+                predict_svr(model, rng.standard_normal((m, t)))
         info = numerics._tiles_column_invariant.cache_info()
-        assert (info.misses, info.hits) == (2, 4)
+        assert (info.misses, info.hits) == (2, 10)
 
     def test_auto_gamma_values(self):
         rng = np.random.default_rng(14)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from sparsescan import training
 from sparsescan.core import (
     GroundTruthImage,
     MeasurementSet,
@@ -383,9 +384,14 @@ class TestTrainModel:
         assert svr_diag["support_vectors"] >= 1
         assert "converged" in svr_diag
 
-    def test_unknown_kind_rejected(self):
+    def test_unknown_kind_rejected(self, monkeypatch):
+        # the kind is checked before any training row is built
+        def no_database(*args, **kwargs):
+            raise AssertionError("generate_training_db called")
+
+        monkeypatch.setattr(training, "generate_training_db", no_database)
         image = blob_image(size=16, seed=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="forest"):
             train_erd_model(
                 [image],
                 TrainingSchedule(densities=(0.2,), samples_per_level=5),
