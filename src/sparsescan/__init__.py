@@ -19,7 +19,7 @@ from .core import (
     psnr,
     save_image,
 )
-from .recon import IdwParams, nearest_measured, reconstruct, reconstruct_incremental
+from .recon import IdwParams, nearest_measured, reconstruct
 from .features import FeatureStats, FeatureVector, extract_features, fit_stats, standardize
 from .regress import ErdModel, load_model, predict, predict_batch, save_model
 from .regress.linear import LinearModel, fit_linear

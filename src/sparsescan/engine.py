@@ -1,8 +1,9 @@
 """Greedy adaptive sampling loop.
 
 Each step scores unmeasured pixels with a trained regressor, measures the
-highest-scoring location (ties to the lowest linear index), and updates the
-reconstruction within the window around the new point.  Only pixels whose
+highest-scoring location (ties to the lowest linear index), and re-estimates
+every pixel whose neighbour list the new point entered, so the
+reconstruction is always reconstruct(mask), bit for bit.  Only pixels whose
 descriptor inputs could have changed are rescored, which gives the scores a
 full rescoring would: prediction is row-stable, so untouched rows keep
 identical bits.  The uniform-random baseline runs the same loop.
@@ -160,6 +161,14 @@ def _check_finite(erd: np.ndarray, step: int) -> None:
         )
 
 
+def _distinct(ascending: np.ndarray) -> np.ndarray:
+    """The distinct values of an ascending array (np.unique hashes, at more cost)."""
+    first = np.empty(ascending.size, dtype=bool)
+    first[:1] = True
+    first[1:] = ascending[1:] != ascending[:-1]
+    return ascending[first]
+
+
 def _argmax(state, scores: np.ndarray):
     """(location, score) of the max-score active pixel, ties to the lowest index."""
     top = np.max(scores[state.active])
@@ -173,17 +182,19 @@ class ReconState:
     Every per-pixel array is indexed by pixel (linear index); active marks
     the pixels still unmeasured, and rows of measured pixels are never read.
     Neighbour composites and window counts stay equal, bit for bit, to what
-    a from-scratch rebuild would compute.  The reconstruction starts as the
-    IDW estimate, or as recon when one is given, and each measurement
-    re-estimates it inside its window only.
+    a from-scratch rebuild would compute.
 
-    Everything that depends on a pixel's neighbour list alone is cached per
-    pixel: est, its IDW estimate, and terms, its neighbour_terms.  Measured
-    values never change, so for every active pixel est and terms equal, bit
-    for bit, what the current list gives, and so est equals
-    reconstruct(mset).  A measurement refreshes them for the pixels whose
-    lists changed, wherever they lie; re-estimating the window is then a
-    copy of est, and a feature row a gather of terms.
+    recon_flat is the reconstruction: the measured value at every measured
+    pixel and the IDW estimate of its current neighbour list at every other
+    one.  Measured values never change, so an estimate changes only with its
+    list: a measurement writes its value and re-estimates the pixels whose
+    lists changed, wherever they lie, and recon_flat stays equal to
+    reconstruct(mset), bit for bit.  Given recon, select_next's state reads
+    recon instead; it only scores.
+
+    What else a neighbour list alone fixes is cached per pixel in terms
+    (neighbour_terms) and refreshed with the estimate, so a feature row is a
+    gather of terms.
 
     reach[r] is the largest k-th-neighbour composite (comp[:, -1]) among the
     active pixels of image row r, or -1 when the row has none.  A new pixel
@@ -211,9 +222,8 @@ class ReconState:
         )
         self.comp = np.zeros((self.n, params.neighbors), dtype=np.int64)
         self.comp[unmeasured] = comp
-        self.value_flat = mset.value_grid().ravel().copy()
+        self.recon_flat = mset.value_grid().ravel().copy()
         k = params.neighbors
-        self.est = np.zeros(self.n)
         self.terms = NeighbourTerms(
             np.zeros((self.n, k)),
             np.zeros((self.n, k), dtype=bool),
@@ -222,19 +232,17 @@ class ReconState:
             np.zeros(self.n),
         )
         self._refresh(unmeasured, comp)
-        if recon is None:
-            self.recon_flat = self.value_flat.copy()
-            self.recon_flat[unmeasured] = self.est[unmeasured]
-        else:
-            self.recon_flat = recon.values.ravel().copy()
+        if recon is not None:
+            self.recon_flat[:] = recon.values.ravel()
         self.cnt = measured_counts_grid(mset.mask, params.window)
         self.reach = np.full(self.height, -1, dtype=np.int64)
         self._update_reach(np.arange(self.height))
 
     def _refresh(self, pixels: np.ndarray, comp: np.ndarray) -> None:
-        """Recompute est and terms of pixels from their neighbour composites."""
-        self.est[pixels] = idw_from_neighbors(comp, self.n, self.value_flat, self.params.power)
-        for cache, fresh in zip(self.terms, neighbour_terms(comp, self.n, self.value_flat)):
+        """Re-estimate pixels and recompute their terms from their neighbour composites."""
+        flat = self.recon_flat
+        flat[pixels] = idw_from_neighbors(comp, self.n, flat, self.params.power)
+        for cache, fresh in zip(self.terms, neighbour_terms(comp, self.n, flat)):
             cache[pixels] = fresh
 
     def _update_reach(self, rows: np.ndarray) -> None:
@@ -292,11 +300,9 @@ class ReconState:
         lin = self.row(loc)
         self.mset.add(loc, value)
         self.active[lin] = False
-        self.value_flat[lin] = value
         self.recon_flat[lin] = value
 
-        w = self.params.window
-        r0, r1, c0, c1 = window_bounds(loc, self.width, self.height, w)
+        r0, r1, c0, c1 = window_bounds(loc, self.width, self.height, self.params.window)
         self.cnt[r0 : r1 + 1, c0 : c1 + 1] += 1
 
         reachable = self._reachable(lin)
@@ -308,12 +314,7 @@ class ReconState:
         comp = comp[changed]
         self.comp[affected] = comp
         self._refresh(affected, comp)
-        self._update_reach(np.unique(np.append(affected // self.width, lin // self.width)))
-
-        # est is current for every active pixel, but the reconstruction takes
-        # it inside the window only, as the standalone incremental rebuild does.
-        in_window = self.active_rows_in_box(loc, w)
-        self.recon_flat[in_window] = self.est[in_window]
+        self._update_reach(np.append(_distinct(affected // self.width), lin // self.width))
         return affected
 
     def active_rows_in_box(self, loc, halfwidth: int) -> np.ndarray:
@@ -360,14 +361,22 @@ class _Greedy:
 
     def measured(self, loc, affected: np.ndarray) -> None:
         st = self.state
-        self.scores[linear_index(loc, st.width)] = -np.inf
-        # descriptor inputs reach one pixel past the recon window
-        r0, r1, c0, c1 = window_bounds(loc, st.width, st.height, st.params.window + 1)
-        near = st.active_rows_in_box(loc, st.params.window + 1)
-        ar, ac = np.divmod(affected, st.width)
-        outside = affected[(ar < r0) | (ar > r1) | (ac < c0) | (ac > c1)]
-        self._rescore(np.concatenate([near, outside]))
-        rows = np.union1d(np.arange(r0, r1 + 1), outside // st.width)
+        h, w = st.height, st.width
+        self.scores[linear_index(loc, w)] = -np.inf
+        # Rescore the window (f6 changed there), the pixels whose lists
+        # changed (f3-f5) and their 4-neighbours (f1 and f2 read a changed
+        # value one pixel away).  Clipping the neighbours to the grid makes
+        # duplicates, which the sort drops.
+        r0, r1, c0, c1 = window_bounds(loc, w, h, st.params.window)
+        ar, ac = np.divmod(affected, w)
+        rr = np.concatenate([ar, np.maximum(ar - 1, 0), np.minimum(ar + 1, h - 1), ar, ar])
+        cc = np.concatenate([ac, ac, ac, np.maximum(ac - 1, 0), np.minimum(ac + 1, w - 1)])
+        out = (rr < r0) | (rr > r1) | (cc < c0) | (cc > c1)
+        outside = _distinct(np.sort(rr[out] * w + cc[out]))
+        outside = outside[st.active[outside]]
+        self._rescore(np.concatenate([st.active_rows_in_box(loc, st.params.window), outside]))
+        rows = _distinct(outside // w)
+        rows = np.concatenate([np.arange(r0, r1 + 1), rows[(rows < r0) | (rows > r1)]])
         self.row_max[rows] = self._grid()[rows].max(axis=1)
 
 

@@ -1,9 +1,7 @@
 """Inverse-distance-weighted reconstruction from sparse measurements.
 
 Each unmeasured pixel is estimated as the 1/d^p weighted average of its
-nearest measured neighbors; measured pixels are copied exactly.  A windowed
-incremental update recomputes only pixels near a new measurement, which is
-what the greedy engine uses between steps.
+nearest measured neighbors; measured pixels are copied exactly.
 """
 
 from dataclasses import dataclass
@@ -101,41 +99,6 @@ def window_bounds(loc, width: int, height: int, halfwidth: int):
     c0 = max(loc[1] - halfwidth, 0)
     c1 = min(loc[1] + halfwidth, width - 1)
     return r0, r1, c0, c1
-
-
-def reconstruct_incremental(
-    prev: Reconstruction, mset: MeasurementSet, s_new, params: IdwParams
-) -> Reconstruction:
-    """Update prev after measuring s_new, recomputing only the window around it.
-
-    Pixels outside the (2w+1)^2 window keep their previous estimates even if
-    their neighbor sets changed; inside the window unmeasured pixels are
-    re-estimated against the full measured set.
-    """
-    if mset.k == 0:
-        raise ValueError("measurement set is empty")
-    if (prev.width, prev.height) != (mset.width, mset.height):
-        raise ValueError("reconstruction and measurement set dimensions differ")
-    s_new = PixelLocation(int(s_new[0]), int(s_new[1]))
-    last_loc, last_val = mset.entries[-1]
-    if last_loc != s_new:
-        raise ValueError(f"{s_new} is not the most recent measurement {last_loc}")
-
-    out = prev.values.copy()
-    out[s_new.row, s_new.col] = last_val
-    r0, r1, c0, c1 = window_bounds(s_new, mset.width, mset.height, params.window)
-    sub_mask = mset.mask[r0 : r1 + 1, c0 : c1 + 1]
-    rows, cols = np.nonzero(~sub_mask)
-    if rows.size:
-        lin = (rows + r0).astype(np.int64) * mset.width + (cols + c0)
-        comp = neighbors.knn_measured(
-            lin, mset.measured_indices(), mset.width, mset.height, params.neighbors
-        )
-        est = idw_from_neighbors(
-            comp, mset.width * mset.height, mset.value_grid().ravel(), params.power
-        )
-        out.ravel()[lin] = est
-    return Reconstruction(width=mset.width, height=mset.height, values=out)
 
 
 def save_reconstruction(path, recon: Reconstruction) -> None:

@@ -122,12 +122,11 @@ class RdEvaluator:
         after = recon_before.copy()
         after[s_pos] = truth_val
         if affected.size:
-            saved = st.value_flat[s_lin]
-            st.value_flat[s_lin] = truth_val
+            st.recon_flat[s_lin] = truth_val
             after[affected] = idw_from_neighbors(
-                comp_after[affected], st.n, st.value_flat, st.params.power
+                comp_after[affected], st.n, st.recon_flat, st.params.power
             )
-            st.value_flat[s_lin] = saved
+            st.recon_flat[s_lin] = recon_before[s_pos]
 
         truth = self._truth_flat[win]
         return exact_abs_sum(truth, recon_before) - exact_abs_sum(truth, after)

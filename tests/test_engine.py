@@ -26,7 +26,7 @@ from sparsescan.engine import (
     select_next,
 )
 from sparsescan.features import FeatureStats, neighbour_terms
-from sparsescan.recon import IdwParams, reconstruct
+from sparsescan.recon import IdwParams, reconstruct, save_reconstruction
 from sparsescan.regress import ErdModel, LinearModel, MlpModel, predict_batch
 from sparsescan.regress.mlp import init_params
 from sparsescan.synth import blob_image
@@ -52,6 +52,17 @@ def distance_model(params=PARAMS):
     theta = np.zeros(6)
     theta[4] = 1.0  # score = distance to the nearest measurement
     return linear_model(theta, params=params)
+
+
+def untrained_nn(params):
+    """SLADS-Net scorer with seeded initial weights."""
+    weights, biases = init_params(6, seed=4)
+    return ErdModel(
+        kind="nn",
+        payload=MlpModel(weights=tuple(weights), biases=tuple(biases), activation="relu"),
+        stats=FeatureStats(means=np.zeros(6), stds=np.full(6, 20.0)),
+        idw=params,
+    )
 
 
 def seeded_mask(image, count, seed):
@@ -258,7 +269,7 @@ class TestRunSampling:
     def assert_caches_match_rebuild(state, policy):
         """The incremental neighbour lists equal a from-scratch kNN search;
         every active pixel's cached list terms equal neighbour_terms of that
-        search and its cached estimate equals reconstruct(mset), bit for
+        search and the whole reconstruction equals reconstruct(mset), bit for
         bit; and the per-row reach and score maxima equal their
         recomputation."""
         h, w = state.height, state.width
@@ -271,8 +282,8 @@ class TestRunSampling:
             fresh = neighbour_terms(rebuilt, state.n, state.mset.value_grid().ravel())
             for name, cached, want in zip(fresh._fields, state.terms, fresh):
                 assert cached[active].tobytes() == want.tobytes(), name
-            ref = reconstruct(state.mset, state.params).values.ravel()
-            assert state.est[active].tobytes() == ref[active].tobytes()
+        ref = reconstruct(state.mset, state.params).values.ravel()
+        assert state.recon_flat.tobytes() == ref.tobytes()
         reach = np.where(state.active, state.comp[:, -1], -1).reshape(h, w).max(axis=1)
         np.testing.assert_array_equal(state.reach, reach)
         row_max = np.where(state.active, policy.scores, -np.inf).reshape(h, w).max(axis=1)
@@ -321,10 +332,20 @@ class TestRunSampling:
         cfg = self.small_config(budget_density=0.15, checkpoint_densities=())
         assert self.assert_each_step_matches_select_next(trained_lsq, image, cfg)
 
+    def test_each_step_matches_select_next_at_window_3(self):
+        # a small window leaves many re-estimated pixels on and past the
+        # box's edge: their 4-neighbours outside the box must be rescored,
+        # because the gradients f1 and f2 read them
+        params = IdwParams(neighbors=10, power=2.0, window=3)
+        model = linear_model([1.0, 1.0, 0.5, 0.5, 0.2, -1.0], params=params)
+        cfg = self.small_config(
+            initial_density=0.01, budget_density=0.30, checkpoint_densities=(), idw=params
+        )
+        assert self.assert_each_step_matches_select_next(model, blob_image(size=32, seed=3), cfg)
+
     def test_each_step_matches_select_next_with_two_neighbours(self):
         # with two neighbours a new measurement changes few neighbour lists,
-        # so pixels one past the window are rescored only because their
-        # gradients read re-estimated pixels
+        # so the rescored pixels are little more than the window
         params = IdwParams(neighbors=2, power=2.0, window=3)
         model = linear_model([1.0, 1.0, 0.5, 0.5, 0.2, -1.0], params=params)
         cfg = self.small_config(
@@ -336,13 +357,7 @@ class TestRunSampling:
         # untrained weights are enough: the property is about batching.  A
         # small window keeps the lazy batches at tens of rows while
         # select_next pushes about 4,000 rows through the MLP's 256-row tiles.
-        weights, biases = init_params(6, seed=4)
-        model = ErdModel(
-            kind="nn",
-            payload=MlpModel(weights=tuple(weights), biases=tuple(biases), activation="relu"),
-            stats=FeatureStats(means=np.zeros(6), stds=np.full(6, 20.0)),
-            idw=IdwParams(neighbors=10, power=2.0, window=3),
-        )
+        model = untrained_nn(IdwParams(neighbors=10, power=2.0, window=3))
         cfg = self.small_config(
             initial_density=0.01, budget_density=0.04, checkpoint_densities=(), idw=model.idw
         )
@@ -426,6 +441,43 @@ class TestRunSampling:
         # here, 16 of them with windows the border clips), but not in sum
         rows, _, window = np.sum(steps, axis=0)
         assert rows < window
+
+    @pytest.mark.parametrize("window", (3, 15))
+    @pytest.mark.parametrize("kind", ("lsq", "nn"))
+    def test_reconstructions_are_exact(self, kind, window, tmp_path):
+        # every checkpoint, its recon_*.pgm and the final reconstruction
+        # equal reconstruct() of the history prefix, bit for bit, however
+        # small the window
+        params = IdwParams(neighbors=10, power=2.0, window=window)
+        if kind == "lsq":
+            model = linear_model([1.0, 1.0, 0.5, 0.5, 0.2, -1.0], params=params)
+        else:
+            model = untrained_nn(params)
+        image = blob_image(size=64, seed=7)
+        cfg = self.small_config(
+            initial_density=0.01,
+            budget_density=0.05,
+            checkpoint_densities=(0.02, 0.03, 0.04, 0.05),
+            idw=params,
+        )
+        run = run_sampling(SimulatedSource(image), model, cfg, image)
+        save_checkpoint_artifacts(run, tmp_path)
+        recons = [
+            (cp.step, cp.reconstruction, f"recon_{round(cp.density * 100):03d}.pgm")
+            for cp in run.checkpoints
+        ]
+        recons.append((run.measured_count, run.final_reconstruction, None))
+        assert len(recons) == 5
+        for step, recon, artifact in recons:
+            mset = MeasurementSet(width=64, height=64)
+            for e in run.history[:step]:
+                mset.add(e.location, e.value)
+            want = reconstruct(mset, params)
+            assert recon.values.tobytes() == want.values.tobytes(), f"step {step}"
+            if artifact:
+                save_reconstruction(tmp_path / "want.pgm", want)
+                got = (tmp_path / artifact).read_bytes()
+                assert got == (tmp_path / "want.pgm").read_bytes(), artifact
 
     def test_checkpoints_fire_at_first_reaching_step(self, trained_lsq):
         image = blob_image(size=16, seed=11)

@@ -14,8 +14,6 @@ from sparsescan.recon import (
     idw_from_neighbors,
     nearest_measured,
     reconstruct,
-    reconstruct_incremental,
-    window_bounds,
 )
 
 
@@ -215,43 +213,6 @@ class TestReconstruct:
     def test_empty_set_errors(self):
         with pytest.raises(ValueError):
             reconstruct(MeasurementSet(width=4, height=4), IdwParams())
-
-
-class TestReconstructIncremental:
-    def test_full_window_equals_full_reconstruct(self):
-        for seed in range(6):
-            mset = random_mset(16, 16, 25, seed)
-            params = IdwParams(neighbors=5, window=16)
-            prev = reconstruct(mset, params)
-            rng = np.random.default_rng(seed + 9)
-            new_lin = int(rng.choice(mset.unmeasured_indices()))
-            loc = PixelLocation(new_lin // 16, new_lin % 16)
-            mset.add(loc, float(rng.uniform(0, 255)))
-            inc = reconstruct_incremental(prev, mset, loc, params)
-            full = reconstruct(mset, params)
-            assert np.array_equal(inc.values, full.values)
-
-    def test_pixels_outside_window_unchanged(self):
-        for seed in range(6):
-            mset = random_mset(24, 24, 60, seed)
-            params = IdwParams(neighbors=5, window=4)
-            prev = reconstruct(mset, params)
-            rng = np.random.default_rng(seed + 9)
-            new_lin = int(rng.choice(mset.unmeasured_indices()))
-            loc = PixelLocation(new_lin // 24, new_lin % 24)
-            mset.add(loc, float(rng.uniform(0, 255)))
-            inc = reconstruct_incremental(prev, mset, loc, params)
-            r0, r1, c0, c1 = window_bounds(loc, 24, 24, params.window)
-            outside = np.ones((24, 24), dtype=bool)
-            outside[r0 : r1 + 1, c0 : c1 + 1] = False
-            assert np.array_equal(inc.values[outside], prev.values[outside])
-
-    def test_requires_latest_entry(self):
-        mset = random_mset(8, 8, 5, 0)
-        prev = reconstruct(mset, IdwParams(neighbors=3))
-        first_loc = mset.entries[0][0]
-        with pytest.raises(ValueError):
-            reconstruct_incremental(prev, mset, first_loc, IdwParams(neighbors=3))
 
 
 class TestIdwFromNeighbors:
