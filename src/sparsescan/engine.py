@@ -42,6 +42,7 @@ from .features import (
     measured_counts_grid,
     neighbour_terms,
 )
+from .numerics import row_blocks
 from .recon import IdwParams, idw_from_neighbors, window_bounds
 from .regress import predict_batch
 
@@ -217,11 +218,10 @@ class ReconState:
         self.n = mset.width * mset.height
         self.active = ~mset.mask.ravel()
         unmeasured = np.flatnonzero(self.active)
-        comp = neighbors.knn_measured(
+        self.comp = np.zeros((self.n, params.neighbors), dtype=np.int64)
+        self.comp[unmeasured] = neighbors.knn_measured(
             unmeasured, mset.measured_indices(), self.width, self.height, params.neighbors
         )
-        self.comp = np.zeros((self.n, params.neighbors), dtype=np.int64)
-        self.comp[unmeasured] = comp
         self.recon_flat = mset.value_grid().ravel().copy()
         k = params.neighbors
         self.terms = NeighbourTerms(
@@ -231,7 +231,9 @@ class ReconState:
             np.zeros(self.n),
             np.zeros(self.n),
         )
-        self._refresh(unmeasured, comp)
+        for block in row_blocks(unmeasured.size):
+            rows = unmeasured[block]
+            self._refresh(rows, self.comp[rows])
         if recon is not None:
             self.recon_flat[:] = recon.values.ravel()
         self.cnt = measured_counts_grid(mset.mask, params.window)
@@ -239,7 +241,10 @@ class ReconState:
         self._update_reach(np.arange(self.height))
 
     def _refresh(self, pixels: np.ndarray, comp: np.ndarray) -> None:
-        """Re-estimate pixels and recompute their terms from their neighbour composites."""
+        """Re-estimate pixels and recompute their terms from their neighbour composites.
+
+        Both read only measured values, so pixels can be refreshed in any grouping.
+        """
         flat = self.recon_flat
         flat[pixels] = idw_from_neighbors(comp, self.n, flat, self.params.power)
         for cache, fresh in zip(self.terms, neighbour_terms(comp, self.n, flat)):
@@ -349,10 +354,10 @@ class _Greedy:
         return self.scores.reshape(self.state.height, self.state.width)
 
     def _rescore(self, pixels: np.ndarray) -> None:
-        if pixels.size:
-            erd = predict_batch(self.model, self.state.features(pixels))
-            _check_finite(erd, self.state.mset.k + 1)
-            self.scores[pixels] = erd
+        for block in row_blocks(pixels.size):
+            rows = pixels[block]
+            self.scores[rows] = predict_batch(self.model, self.state.features(rows))
+        _check_finite(self.scores[pixels], self.state.mset.k + 1)
 
     def best(self):
         r = int(np.argmax(self.row_max))
@@ -399,8 +404,9 @@ def select_next(model, recon: Reconstruction, mset: MeasurementSet, workers: int
     """Highest predicted-ERD unmeasured pixel against the given reconstruction.
 
     Returns (PixelLocation, predicted_erd); ties break to the lowest linear
-    index.  Scoring may be chunked across threads; the result is identical
-    to a serial pass.  A non-finite prediction raises FloatingPointError.
+    index.  Pixels are scored ROW_BLOCK at a time, serially or, given more
+    than one worker, on a thread pool; prediction is row-stable, so the
+    result is the same either way.  A non-finite prediction raises FloatingPointError.
     """
     if (recon.width, recon.height) != (mset.width, mset.height):
         raise ValueError("reconstruction and measurement set dimensions differ")
@@ -410,18 +416,20 @@ def select_next(model, recon: Reconstruction, mset: MeasurementSet, workers: int
         raise ValueError("image fully measured")
     state = ReconState(mset, model.idw, recon)
     pixels = np.flatnonzero(state.active)
-
-    def score(chunk):
-        return predict_batch(model, state.features(chunk))
-
+    blocks = [pixels[block] for block in row_blocks(pixels.size)]
     scores = np.full(state.n, -np.inf)
-    if workers <= 1 or pixels.size < 2 * workers:
-        scores[pixels] = score(pixels)
+
+    def score(rows):
+        scores[rows] = predict_batch(model, state.features(rows))
+
+    if workers <= 1:
+        for rows in blocks:
+            score(rows)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            scores[pixels] = np.concatenate(list(pool.map(score, np.array_split(pixels, workers))))
+            list(pool.map(score, blocks))
     _check_finite(scores[pixels], mset.k + 1)
     return _argmax(state, scores)
 

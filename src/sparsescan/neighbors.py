@@ -11,6 +11,8 @@ scoring results independent of how the neighbor sets were obtained.
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .numerics import row_blocks
+
 # larger than any real composite for images up to ~46000x46000
 SENTINEL = np.int64(2**62)
 
@@ -47,6 +49,20 @@ def decode(comp: np.ndarray, n: int):
     return d2, safe - d2 * n, valid
 
 
+def _exhaustive(qr, qc, mr, mc, measured_indices, n: int, count: int) -> np.ndarray:
+    """Composites of the `count` nearest pixels of the whole measured set, per query.
+
+    Slots past the size of the measured set hold SENTINEL.
+    """
+    d2 = (qr[:, None] - mr[None, :]) ** 2 + (qc[:, None] - mc[None, :]) ** 2
+    cand = d2 * n + measured_indices[None, :]
+    cand.sort(axis=1)
+    out = np.full((qr.size, count), SENTINEL, dtype=np.int64)
+    take = min(count, cand.shape[1])
+    out[:, :take] = cand[:, :take]
+    return out
+
+
 def knn_measured(
     query_indices: np.ndarray,
     measured_indices: np.ndarray,
@@ -57,49 +73,40 @@ def knn_measured(
     """Composites of the `count` canonical nearest measured pixels per query.
 
     Returns an (m, count) int64 array sorted ascending per row, padded with
-    SENTINEL when fewer than `count` pixels are measured.
+    SENTINEL when fewer than `count` pixels are measured.  Queries are
+    answered ROW_BLOCK at a time against one tree, so temporaries stay
+    bounded; each row is found on its own, so the result does not depend on
+    the block size.
     """
     measured_indices = np.asarray(measured_indices, dtype=np.int64)
     query_indices = np.asarray(query_indices, dtype=np.int64)
     k = measured_indices.size
-    m = query_indices.size
     n = width * height
     if k == 0:
         raise ValueError("at least one measured pixel required")
-    qr, qc = np.divmod(query_indices, width)
     mr, mc = np.divmod(measured_indices, width)
-
-    if k <= count + _BRUTE_FORCE_PAD:
-        d2 = (qr[:, None] - mr[None, :]) ** 2 + (qc[:, None] - mc[None, :]) ** 2
-        cand = d2 * n + measured_indices[None, :]
+    out = np.empty((query_indices.size, count), dtype=np.int64)
+    brute = k <= count + _BRUTE_FORCE_PAD
+    if not brute:
+        tree = cKDTree(np.column_stack([mr, mc]).astype(np.float64))
+    for block in row_blocks(query_indices.size):
+        qr, qc = np.divmod(query_indices[block], width)
+        if brute:
+            out[block] = _exhaustive(qr, qc, mr, mc, measured_indices, n, count)
+            continue
+        _, nn = tree.query(np.column_stack([qr, qc]).astype(np.float64), k=count + _QUERY_PAD)
+        nn = np.atleast_2d(nn)
+        d2 = (qr[:, None] - mr[nn]) ** 2 + (qc[:, None] - mc[nn]) ** 2
+        cand = d2 * n + measured_indices[nn]
         cand.sort(axis=1)
-        out = np.full((m, count), SENTINEL, dtype=np.int64)
-        take = min(count, k)
-        out[:, :take] = cand[:, :take]
-        return out
-
-    tree = cKDTree(np.column_stack([mr, mc]).astype(np.float64))
-    kq = count + _QUERY_PAD
-    _, nn = tree.query(np.column_stack([qr, qc]).astype(np.float64), k=kq)
-    nn = np.atleast_2d(nn)
-    cr = mr[nn]
-    cc = mc[nn]
-    d2 = (qr[:, None] - cr) ** 2 + (qc[:, None] - cc) ** 2
-    cand = d2 * n + measured_indices[nn]
-    cand.sort(axis=1)
-    out = cand[:, :count].copy()
-
-    # Points the tree left out are at least as far as the worst candidate, so
-    # the selection is provably canonical when the worst candidate d2 strictly
-    # exceeds the selected cutoff d2.  Otherwise redo those rows exhaustively.
-    worst_d2 = cand[:, -1] // n
-    cutoff_d2 = cand[:, count - 1] // n
-    bad = np.flatnonzero(worst_d2 <= cutoff_d2)
-    if bad.size:
-        d2b = (qr[bad][:, None] - mr[None, :]) ** 2 + (qc[bad][:, None] - mc[None, :]) ** 2
-        cb = d2b * n + measured_indices[None, :]
-        cb.sort(axis=1)
-        out[bad] = cb[:, :count]
+        # Points the tree left out are at least as far as the worst candidate,
+        # so the selection is provably canonical when the worst candidate d2
+        # strictly exceeds the selected cutoff d2.  Otherwise redo those rows
+        # exhaustively.
+        bad = np.flatnonzero(cand[:, -1] // n <= cand[:, count - 1] // n)
+        if bad.size:
+            cand[bad, :count] = _exhaustive(qr[bad], qc[bad], mr, mc, measured_indices, n, count)
+        out[block] = cand[:, :count]
     return out
 
 

@@ -1,6 +1,6 @@
 """Low-level numeric helpers with strict determinism guarantees.
 
-Lazy rescoring in the greedy loop and the threaded chunks of ``select_next``
+Lazy rescoring in the greedy loop and the blocks of full-image scoring
 require that scoring a subset of candidate rows produces bit-identical
 numbers to scoring the full batch.  A plain BLAS matmul does not guarantee
 that: its kernel, blocking and reduction order can depend on the batch
@@ -27,11 +27,23 @@ to ``einsum``.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
 
 ROW_TILE = 256  # rows per BLAS tile; query columns per SVR column tile
+
+# Pixels per block of a full-image build (neighbour search, re-estimation,
+# scoring, distortion sums).  Every row is computed on its own, so results do
+# not depend on it; it bounds the temporaries, and as a multiple of ROW_TILE
+# only a call's last block pads a BLAS tile.
+ROW_BLOCK = 4096
+
+
+def row_blocks(m: int):
+    """Slices that cover range(m) in order, ROW_BLOCK at a time."""
+    return [slice(start, start + ROW_BLOCK) for start in range(0, m, ROW_BLOCK)]
 
 
 def _blas_tiles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -170,9 +182,13 @@ def exact_abs_sum(a: np.ndarray, b: np.ndarray) -> float:
     """Exactly rounded sum of |a - b|.
 
     math.fsum returns the correctly rounded float64 sum, so the result is
-    independent of element order and of how the inputs were sliced.
+    independent of element order and of how the inputs were sliced; it is
+    fed one ROW_BLOCK of Python floats at a time.
     """
-    return math.fsum(np.abs(np.ravel(a) - np.ravel(b)).tolist())
+    a, b = np.ravel(a), np.ravel(b)
+    return math.fsum(
+        itertools.chain.from_iterable(np.abs(a[s] - b[s]).tolist() for s in row_blocks(a.size))
+    )
 
 
 def quantize_u8(values: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from .core import (
     linear_index,
     location_of,
 )
-from .numerics import quantize_u8
+from .numerics import quantize_u8, row_blocks
 from . import pgm
 
 
@@ -77,7 +77,11 @@ def nearest_measured(mset: MeasurementSet, loc, count: int):
 
 
 def reconstruct(mset: MeasurementSet, params: IdwParams) -> Reconstruction:
-    """Full IDW reconstruction: measured pixels exact, the rest estimated."""
+    """Full IDW reconstruction: measured pixels exact, the rest estimated.
+
+    The estimates are made ROW_BLOCK pixels at a time; each row is computed
+    on its own, so the result does not depend on the block size.
+    """
     if mset.k == 0:
         raise ValueError("cannot reconstruct from an empty measurement set")
     neighbors.check_grid_capacity(mset.width, mset.height)
@@ -87,8 +91,11 @@ def reconstruct(mset: MeasurementSet, params: IdwParams) -> Reconstruction:
         comp = neighbors.knn_measured(
             unmeas, mset.measured_indices(), mset.width, mset.height, params.neighbors
         )
-        est = idw_from_neighbors(comp, mset.width * mset.height, out.ravel(), params.power)
-        out.ravel()[unmeas] = est
+        # estimates read only measured values, so a block's writes leave the
+        # next block's inputs as they were
+        flat = out.ravel()
+        for block in row_blocks(unmeas.size):
+            flat[unmeas[block]] = idw_from_neighbors(comp[block], flat.size, flat, params.power)
     return Reconstruction(width=mset.width, height=mset.height, values=out)
 
 

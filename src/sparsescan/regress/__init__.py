@@ -42,7 +42,7 @@ def predict_batch(model: ErdModel, raw_features: np.ndarray) -> np.ndarray:
     """Predicted ERD for raw (unstandardized) feature rows (m, t).
 
     Results are bitwise identical no matter how the rows are batched, which
-    lazy rescoring and the threaded chunks of select_next rely on.
+    lazy rescoring and the blocks of full-image scoring rely on.
     """
     rows = np.asarray(raw_features, dtype=np.float64)
     if rows.ndim != 2:

@@ -1,11 +1,12 @@
 """Tests for the greedy sampling loop, baselines and run artifacts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sparsescan import engine, neighbors
+from sparsescan import engine, neighbors, numerics
 from sparsescan.core import (
     PSNR_CAP_DB,
     GroundTruthImage,
@@ -705,3 +706,82 @@ class TestEdgeGrids:
             trained_lsq, self.image(*shape), cfg
         )
         assert steps == shape[0] * shape[1] - 1
+
+
+class TestBlockSize:
+    """Full-image builds run ROW_BLOCK pixels at a time; the block edges must
+    change no bits.  The grid holds more than two default blocks, and seven
+    divides neither it nor its unmeasured pixels."""
+
+    SHAPE = (88, 96)  # height, width: 8,448 pixels
+
+    def image(self):
+        return GroundTruthImage.from_array(blob_image(96, seed=8).values[: self.SHAPE[0]])
+
+    def outputs(self, models):
+        image = self.image()
+        h, w = self.SHAPE
+        out = {}
+        for name, count in (("tree", 85), ("brute", 30)):
+            mset = seeded_mask(image, count, seed=5)
+            comp = neighbors.knn_measured(
+                mset.unmeasured_indices(), mset.measured_indices(), w, h, PARAMS.neighbors
+            )
+            assert comp.shape[0] > 2 * 4096  # the default ROW_BLOCK
+            out[f"knn {name}"] = comp
+        mset = seeded_mask(image, 85, seed=5)
+        recon = reconstruct(mset, PARAMS)
+        out["reconstruct"] = recon.values
+        state = ReconState(mset.copy(), PARAMS)
+        out["comp"] = state.comp
+        out["recon_flat"] = state.recon_flat
+        for name, cache in zip(state.terms._fields, state.terms):
+            out[f"terms.{name}"] = cache
+        for kind, model in models.items():
+            out[f"{kind} initial scores"] = _Greedy(ReconState(mset.copy(), PARAMS), model).scores
+            for workers in (1, 4):
+                loc, erd = select_next(model, recon, mset, workers=workers)
+                out[f"{kind} select_next workers={workers}"] = np.array([*loc, erd])
+            cfg = RunConfig(
+                initial_density=0.01, budget_density=0.02, checkpoint_densities=(0.02,), seed=2
+            )
+            run = run_sampling(SimulatedSource(image), model, cfg, image)
+            out[f"{kind} history"] = np.array(
+                [(e.step, *e.location, e.value, e.predicted_erd) for e in run.history]
+            )
+            out[f"{kind} checkpoint"] = run.checkpoints[0].reconstruction.values
+        return out
+
+    def test_block_edges_change_no_bits(self, trained_lsq, monkeypatch):
+        models = {"lsq": trained_lsq, "nn": untrained_nn(PARAMS)}
+        default = self.outputs(models)
+        monkeypatch.setattr(numerics, "ROW_BLOCK", 7)
+        assert len(numerics.row_blocks(8448)) == 1207
+        small = self.outputs(models)
+        assert default.keys() == small.keys()
+        for key, value in default.items():
+            assert value.dtype == small[key].dtype, key
+            assert value.tobytes() == small[key].tobytes(), key
+
+
+class TestSetupMemory:
+    """A full-image build keeps about 210 bytes a pixel; its temporaries
+    must not grow with the image the way the kept arrays do."""
+
+    @staticmethod
+    def transient_mb(build):
+        """Traced peak of build() minus what is still allocated when it returns."""
+        tracemalloc.start()
+        try:
+            kept = build()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del kept
+        return (peak - current) / 2**20
+
+    def test_reconstruct_and_recon_state_at_256(self):
+        image = blob_image(256, seed=7)
+        mset = seeded_mask(image, math.ceil(0.01 * image.pixel_count), seed=1)
+        assert self.transient_mb(lambda: reconstruct(mset, PARAMS)) < 16
+        assert self.transient_mb(lambda: ReconState(mset, PARAMS)) < 16

@@ -222,6 +222,25 @@ class TestExactAbsSum:
         a = np.linspace(0, 255, 100)
         assert exact_abs_sum(a, a) == 0.0
 
+    def test_blocks_sum_as_one_list(self):
+        # several ROW_BLOCKs and a ragged tail: differences that cancel to
+        # nothing or to an ulp, beside magnitudes a running sum would lose
+        rng = np.random.default_rng(2)
+        size = 3 * numerics.ROW_BLOCK + 123
+        a = rng.uniform(0.0, 255.0, size)
+        b = a + rng.choice([0.0, 1e16, 0.1, 1e-13], size=size) * rng.uniform(0.5, 2.0, size)
+        b[::7] = np.nextafter(a[::7], np.inf)
+        expected = math.fsum(np.abs(a - b).tolist())
+        assert expected != sum(np.abs(a - b).tolist())
+        assert exact_abs_sum(a, b) == expected
+        assert exact_abs_sum(a.reshape(-1, 3), b.reshape(-1, 3)) == expected
+        # 2^53 in the first block and 0.5 in each later one: the exact sum
+        # rounds to 2^53 + 2, a sum of exact per-block sums to 2^53
+        spread = np.zeros(size)
+        spread[0] = 2.0**53
+        spread[numerics.ROW_BLOCK :: numerics.ROW_BLOCK] = 0.5
+        assert exact_abs_sum(spread, np.zeros(size)) == 2.0**53 + 2
+
     def test_accepts_2d_grids(self):
         a = np.arange(12.0).reshape(3, 4)
         b = np.zeros((3, 4))
