@@ -3,15 +3,18 @@
 Neighbors are ordered by (squared distance, linear index) ascending, so any
 distance tie resolves to the lower row-major index.  Both are integers, so
 the pair packs losslessly into one int64 composite key: d2 * N + index.
-Every search path (batch KD-tree, brute force, incremental insertion)
-produces identical composites, which is what makes reconstruction and
-scoring results independent of how the neighbor sets were obtained.
+There are three search paths: brute force against a small measured set,
+a KD-tree searched once per 4x4 tile of queries, and incremental insertion.
+All three produce identical composites, which is what makes reconstruction
+and scoring results independent of how the neighbor sets were obtained.
 """
+
+import itertools
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .numerics import row_blocks
+from . import numerics
 
 # larger than any real composite for images up to ~46000x46000
 SENTINEL = np.int64(2**62)
@@ -21,16 +24,15 @@ SENTINEL = np.int64(2**62)
 # 7-11 ms for building and querying a tree.
 _BRUTE_FORCE_PAD = 32
 
-# The tree returns count + _QUERY_PAD candidates per query.  A row's list is
-# provably canonical when the worst candidate lies strictly farther than its
-# count-th neighbour.  When a tie group at that distance is larger than the
-# pad (the 32 lattice points at d2 = 1105 around one pixel, say), the row is
-# searched exhaustively instead.  With count 10 and a pad of 8, that took 1
-# row in about 3 million on uniform masks of 1-40% density at 64x64 to
-# 512x512, and none on lattices of step 3, 4 and 8; a pad of 4 took 7,014
-# rows in 1.3 million.  A pad of 8 builds the lists in about half the time
-# a pad of 32 takes.
-_QUERY_PAD = 8
+# Tree searches answer the queries of one _TILE x _TILE pixel tile together.
+# Every pixel of a tile lies within _TILE_HALF_DIAGONAL of its centre.
+_TILE = 4
+_TILE_HALF_DIAGONAL = (_TILE - 1) / 2 * np.sqrt(2.0)
+
+# The (tile pixels x candidates) matrix of one group of tiles holds at most
+# ROW_BLOCK * _GROUP_WIDTH entries, 1 MB at the default block, so a tile
+# whose ball crosses a dense cluster widens only its own group.
+_GROUP_WIDTH = 32
 
 
 def check_grid_capacity(width: int, height: int) -> None:
@@ -63,6 +65,73 @@ def _exhaustive(qr, qc, mr, mc, measured_indices, n: int, count: int) -> np.ndar
     return out
 
 
+def _tile_lists(tree, qr, qc, mr, mc, measured_indices, width, n, count, out) -> None:
+    """Write the canonical lists of one block's queries into out, one search per tile.
+
+    For a pixel p of a tile with centre c and half-diagonal h, the distance
+    r(p) to its count-th nearest measured pixel is at most r(c) + |p - c|.
+    So every measured pixel within r(p) of p, each tie at that distance
+    included, lies within r(c) + 2h of c: the ball of that radius around c
+    holds the list of every pixel in the tile.  The radius is inflated a
+    little so that float rounding cannot drop a tie.
+    """
+    tiles_per_row = -(-width // _TILE)
+    tiles, of_row, rows_per_tile = np.unique(
+        (qr // _TILE) * tiles_per_row + qc // _TILE, return_inverse=True, return_counts=True
+    )
+    origins = np.column_stack(np.divmod(tiles, tiles_per_row)) * _TILE
+    centres = origins + (_TILE - 1) / 2
+    r_count = tree.query(centres, k=[count])[0][:, 0]
+    radius = (r_count + 2 * _TILE_HALF_DIAGONAL) * (1 + 1e-12) + 1e-9
+    balls = tree.query_ball_point(centres, radius, return_sorted=False)
+    sizes = np.fromiter(map(len, balls), dtype=np.int64, count=len(balls))
+    flat = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.int64, count=int(sizes.sum()))
+    del balls
+    starts = np.cumsum(sizes) - sizes
+    # Tiles go in order of candidate count, and the rows with them; a group
+    # takes as many tiles as keep its (tile pixels x widest count) matrix
+    # within the bound.
+    by_size = np.argsort(sizes, kind="stable")
+    rank = np.empty_like(by_size)
+    rank[by_size] = np.arange(by_size.size)
+    order = np.argsort(rank[of_row], kind="stable")
+    row_stops = np.cumsum(rows_per_tile[by_size])
+    tile_cells = _TILE * _TILE * sizes[by_size]
+    pixel = (qr % _TILE) * _TILE + qc % _TILE
+    offsets = np.arange(_TILE)[:, None]
+    limit = numerics.ROW_BLOCK * _GROUP_WIDTH
+    lo = 0
+    while lo < by_size.size:
+        cells = np.arange(1, by_size.size - lo + 1) * tile_cells[lo:]
+        hi = lo + max(1, int(np.searchsorted(cells, limit, side="right")))
+        group = by_size[lo:hi]
+        slot = np.arange(sizes[group[-1]])
+        # slots past a tile's own candidates read the next tile's; they are
+        # made SENTINEL below
+        j = flat[np.minimum(starts[group][:, None] + slot, flat.size - 1)]
+        pad = (slot >= sizes[group][:, None])[:, None, :]
+        # composite = n * dr^2 + (n * dc^2 + index): a term per tile row and
+        # one per tile column, summed for each of the tile's pixels
+        row_term = (mr[j] - origins[group, :1])[:, None, :] - offsets
+        row_term *= row_term
+        row_term *= n
+        col_term = (mc[j] - origins[group, 1:])[:, None, :] - offsets
+        col_term *= col_term
+        col_term *= n
+        col_term += measured_indices[j][:, None, :]
+        np.copyto(row_term, SENTINEL, where=pad)
+        np.copyto(col_term, 0, where=pad)
+        cand = (row_term[:, :, None, :] + col_term[:, None, :, :]).reshape(-1, slot.size)
+        rows = order[row_stops[lo - 1] if lo else 0 : row_stops[hi - 1]]
+        mine = cand[(rank[of_row[rows]] - lo) * (_TILE * _TILE) + pixel[rows]]
+        del cand
+        mine.partition(count - 1, axis=1)
+        best = mine[:, :count]
+        best.sort(axis=1)
+        out[rows] = best
+        lo = hi
+
+
 def knn_measured(
     query_indices: np.ndarray,
     measured_indices: np.ndarray,
@@ -74,9 +143,10 @@ def knn_measured(
 
     Returns an (m, count) int64 array sorted ascending per row, padded with
     SENTINEL when fewer than `count` pixels are measured.  Queries are
-    answered ROW_BLOCK at a time against one tree, so temporaries stay
-    bounded; each row is found on its own, so the result does not depend on
-    the block size.
+    answered ROW_BLOCK at a time, so temporaries stay bounded: exhaustively
+    against a small measured set, otherwise against one tree, searched once
+    per tile of the block.  Every list is exact, so the result does not
+    depend on the block size or on the grouping.
     """
     measured_indices = np.asarray(measured_indices, dtype=np.int64)
     query_indices = np.asarray(query_indices, dtype=np.int64)
@@ -89,24 +159,12 @@ def knn_measured(
     brute = k <= count + _BRUTE_FORCE_PAD
     if not brute:
         tree = cKDTree(np.column_stack([mr, mc]).astype(np.float64))
-    for block in row_blocks(query_indices.size):
+    for block in numerics.row_blocks(query_indices.size):
         qr, qc = np.divmod(query_indices[block], width)
         if brute:
             out[block] = _exhaustive(qr, qc, mr, mc, measured_indices, n, count)
-            continue
-        _, nn = tree.query(np.column_stack([qr, qc]).astype(np.float64), k=count + _QUERY_PAD)
-        nn = np.atleast_2d(nn)
-        d2 = (qr[:, None] - mr[nn]) ** 2 + (qc[:, None] - mc[nn]) ** 2
-        cand = d2 * n + measured_indices[nn]
-        cand.sort(axis=1)
-        # Points the tree left out are at least as far as the worst candidate,
-        # so the selection is provably canonical when the worst candidate d2
-        # strictly exceeds the selected cutoff d2.  Otherwise redo those rows
-        # exhaustively.
-        bad = np.flatnonzero(cand[:, -1] // n <= cand[:, count - 1] // n)
-        if bad.size:
-            cand[bad, :count] = _exhaustive(qr[bad], qc[bad], mr, mc, measured_indices, n, count)
-        out[block] = cand[:, :count]
+        else:
+            _tile_lists(tree, qr, qc, mr, mc, measured_indices, width, n, count, out[block])
     return out
 
 

@@ -785,3 +785,13 @@ class TestSetupMemory:
         mset = seeded_mask(image, math.ceil(0.01 * image.pixel_count), seed=1)
         assert self.transient_mb(lambda: reconstruct(mset, PARAMS)) < 16
         assert self.transient_mb(lambda: ReconState(mset, PARAMS)) < 16
+
+    def test_knn_measured_with_a_crowded_corner_at_256(self):
+        # a far tile's candidates are a band of the corner: its rows x
+        # candidates matrix is wide, and the groups must keep it bounded
+        grid = np.zeros((256, 256), dtype=bool)
+        grid[:80, :80] = True
+        measured = np.flatnonzero(grid)
+        queries = np.flatnonzero(~grid.ravel())
+        build = lambda: neighbors.knn_measured(queries, measured, 256, 256, PARAMS.neighbors)
+        assert self.transient_mb(build) < 16

@@ -61,12 +61,14 @@ class TestNeighborSearch:
             got = list(zip(d2[row][valid[row]].tolist(), idx[row][valid[row]].tolist()))
             assert got == brute_force_knn(q, measured, width, count), int(q)
 
-    def test_tie_group_wider_than_the_query_pad_falls_back_exactly(self):
+    def test_tie_group_wider_than_count_is_exact(self):
         # 1105 = 4^2+33^2 = 9^2+32^2 = 12^2+31^2 = 23^2+24^2: 32 lattice points
-        # share d2 = 1105 around the centre, more than the count + pad
-        # candidates the tree returns, so the centre row takes the exhaustive
-        # fallback; 20 points on the top row are farther and force the tree
-        size, centre, count = 80, 40, 10
+        # share d2 = 1105 around the centre, so the tie group at the 10th
+        # distance is wider than count; 20 points on the top row are farther
+        # and force the tree.  (40, 40) and (43, 43) are opposite corner
+        # pixels of a 4x4 tile, as far from its centre as a pixel gets, and
+        # (42, 41) lies inside one.
+        size, count = 80, 10
         offsets = {
             (sr * a, sc * b)
             for a, b in ((4, 33), (9, 32), (12, 31), (23, 24))
@@ -74,17 +76,64 @@ class TestNeighborSearch:
             for sr in (-1, 1)
             for sc in (-1, 1)
         }
-        assert len(offsets) == 32 > count + neighbors._QUERY_PAD
-        ring = [(centre + dr) * size + centre + dc for dr, dc in offsets]
-        far = list(range(0, 80, 4))
-        measured = np.array(sorted(ring + far), dtype=np.int64)
-        assert measured.size > count + neighbors._BRUTE_FORCE_PAD
-        mask = np.zeros(size * size, dtype=bool)
-        mask[measured] = True
-        queries = np.flatnonzero(~mask)
-        self.assert_every_row_canonical(queries, measured, size, size, count)
-        comp = neighbors.knn_measured(np.array([centre * size + centre]), measured, size, size, count)
-        assert np.all(comp // (size * size) == 1105)
+        assert len(offsets) == 32 > count
+        for row, col in ((40, 40), (43, 43), (42, 41)):
+            ring = [(row + dr) * size + col + dc for dr, dc in offsets]
+            far = list(range(0, 80, 4))
+            measured = np.array(sorted(ring + far), dtype=np.int64)
+            assert measured.size > count + neighbors._BRUTE_FORCE_PAD
+            mask = np.zeros(size * size, dtype=bool)
+            mask[measured] = True
+            queries = np.flatnonzero(~mask)
+            self.assert_every_row_canonical(queries, measured, size, size, count)
+            centre = np.array([row * size + col])
+            comp = neighbors.knn_measured(centre, measured, size, size, count)
+            assert np.all(comp // (size * size) == 1105)
+
+    @pytest.mark.parametrize(
+        "width, height, density, count",
+        [
+            (150, 161, 0.002, 10),
+            (67, 70, 0.01, 10),
+            (47, 41, 0.05, 10),
+            (47, 41, 0.2, 10),
+            (47, 41, 0.4, 10),
+            (47, 41, 0.7, 10),
+            (47, 41, 0.05, 1),
+            (47, 41, 0.2, 3),
+            (33, 47, 0.1, 10),
+            (1, 200, 0.3, 10),
+            (200, 1, 0.3, 10),
+            (1, 200, 0.3, 1),
+            (7, 3, 0.5, 3),
+        ],
+    )
+    def test_uniform_masks(self, width, height, density, count):
+        k = max(1, round(density * width * height))
+        mset = random_mset(width, height, k, seed=width * height + count)
+        self.assert_every_row_canonical(
+            mset.unmeasured_indices(), mset.measured_indices(), width, height, count
+        )
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            (slice(0, 20), slice(0, 20)),
+            (slice(30, 45), slice(36, 53)),
+            (slice(0, 3), slice(None)),
+            (slice(2, None, 11), slice(None)),
+        ],
+        ids=["corner-block", "opposite-corner-block", "top-rows", "every-11th-row"],
+    )
+    def test_block_and_row_masks_queried_everywhere(self, rows, cols):
+        # every pixel is queried, measured ones included, as nearest_measured may
+        width, height = 53, 45
+        grid = np.zeros((height, width), dtype=bool)
+        grid[rows, cols] = True
+        measured = np.flatnonzero(grid)
+        assert measured.size > 10 + neighbors._BRUTE_FORCE_PAD  # the tree path
+        queries = np.arange(width * height)
+        self.assert_every_row_canonical(queries, measured, width, height, 10)
 
     @pytest.mark.parametrize("extra", [-1, 0, 1, 2])
     def test_both_sides_of_the_brute_force_cut_over(self, extra):
