@@ -119,16 +119,16 @@ class MeasurementSet:
     width: int
     height: int
     entries: list = field(default_factory=list)  # [(PixelLocation, float)]
-    mask: np.ndarray = None  # (height, width) bool
+    mask: np.ndarray = field(init=False)  # (height, width) bool
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError("grid must have at least one pixel")
-        if self.mask is None:
-            self.mask = np.zeros((self.height, self.width), dtype=bool)
+        self.mask = np.zeros((self.height, self.width), dtype=bool)
         self._value_grid = np.zeros((self.height, self.width), dtype=np.float64)
-        for loc, val in self.entries:
-            self._value_grid[loc.row, loc.col] = val
+        entries, self.entries = self.entries, []
+        for loc, value in entries:
+            self.add(loc, value)
 
     @property
     def k(self) -> int:
@@ -161,12 +161,7 @@ class MeasurementSet:
         return self._value_grid
 
     def copy(self) -> "MeasurementSet":
-        return MeasurementSet(
-            width=self.width,
-            height=self.height,
-            entries=list(self.entries),
-            mask=self.mask.copy(),
-        )
+        return MeasurementSet(width=self.width, height=self.height, entries=self.entries)
 
 
 def load_image(path) -> GroundTruthImage:

@@ -9,13 +9,15 @@ shape, so a row's bits change with the rows around it.  Three techniques avoid t
 - ``stable_matmul`` (the MLP forward pass) pushes rows through ``np.matmul``
   in zero-padded tiles of one fixed shape, ``ROW_TILE`` rows, so every call
   runs the same BLAS kernel on the same tile shape.
-- ``column_tile_product`` (SVR prediction) turns the tile round: a slab of
-  ``ROW_TILE`` support-vector rows, each extended by two terms, is the left
-  operand and up to ``ROW_TILE`` query rows, each extended likewise, are the
-  zero-padded columns of the right one, so the product is already
-  -gamma * d2.  A row tile of the plain cross product, (ROW_TILE, t) @ (t,
-  support vectors), is not row-position invariant on the OpenBLAS this was
-  measured with; the column tile is.
+- SVR prediction (``regress.svr.predict_svr``) turns the tile round: a slab
+  of ``ROW_TILE`` support-vector rows, each extended by two terms, is the
+  left operand and up to ``ROW_TILE`` query rows, each extended likewise,
+  are the zero-padded columns of the right one, so the product is already
+  -gamma * d2.  Each block of queries fills its column tile once and runs
+  every slab through one cache-resident buffer whose first row carries the
+  coefficient sum.  A row tile of the plain cross product, (ROW_TILE, t) @
+  (t, support vectors), is not row-position invariant on the OpenBLAS this
+  was measured with; the column tile is.
 - ``stable_matvec`` (lsq) and ``stable_cross_sq_dists`` (SVR training, and
   SVR prediction where the column tile fails its self-test) use ``einsum``,
   whose per-element reduction order depends only on the contracted length.
@@ -66,33 +68,25 @@ def _blas_tiles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def column_tile_product(
-    b: np.ndarray, a: np.ndarray, tile: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """b @ a.T for at most ROW_TILE rows of a, as one (n, k) @ (k, ROW_TILE) product.
-
-    b is C-contiguous float64 (n, k); tile (k, ROW_TILE) and out (n, ROW_TILE)
-    are C-contiguous float64 arrays that callers reuse across calls.  The rows
-    of a become the first columns of tile and the other columns are zeroed, so
-    every product has one shape.  Column j of the returned out belongs to row
-    j of a.
-    """
-    m = a.shape[0]
-    tile[:, :m] = a.T
-    tile[:, m:] = 0.0
-    return np.matmul(b, tile, out=out)
-
-
 def _blas_column_tiles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(m, k) @ (n, k).T through column_tile_product, one tile per ROW_TILE rows."""
+    """(m, k) @ (n, k).T as (n, k) @ (k, ROW_TILE) products, one per ROW_TILE rows of a.
+
+    The product SVR prediction runs: the rows of a block of a are the first
+    columns of a (k, ROW_TILE) tile whose other columns are zero, so every
+    product has one shape, and column j of a product belongs to row j of the
+    block.
+    """
     n, k = b.shape
     tile = np.empty((k, ROW_TILE))
     cross = np.empty((n, ROW_TILE))
     out = np.empty((a.shape[0], n))
     for start in range(0, a.shape[0], ROW_TILE):
         block = a[start : start + ROW_TILE]
-        cols = column_tile_product(b, block, tile, cross)[:, : len(block)]
-        out[start : start + ROW_TILE] = cols.T
+        rows = block.shape[0]
+        tile[:, :rows] = block.T
+        tile[:, rows:] = 0.0
+        np.matmul(b, tile, out=cross)
+        out[start : start + rows] = cross[:, :rows].T
     return out
 
 
@@ -125,7 +119,7 @@ def _tiles_row_invariant(k: int, n: int) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def _tiles_column_invariant(n: int, k: int) -> bool:
-    """Whether ``column_tile_product`` is column-position invariant for (n, k) rows.
+    """Whether ``_blas_column_tiles`` is column-position invariant for (n, k) rows.
 
     SVR prediction asks only for its slab shape, (ROW_TILE, features + 2).
     """

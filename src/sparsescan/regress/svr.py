@@ -4,15 +4,17 @@ The dual is solved by sequential pairwise optimization over the doubled
 variable vector a = [alpha; alpha*], picking the maximal violating pair
 until the KKT gap drops below tol.  Prediction is
 sum_i coeff_i * exp(-gamma * ||v - sv_i||^2) + b, with -gamma * ||v - sv_i||^2
-computed by one BLAS product per slab of support vectors; training and
-rbf_kernel keep the einsum distances of numerics.stable_cross_sq_dists.
+computed by one BLAS product per slab of support vectors, and each slab
+exponentiated and added to a running coefficient sum while it is in cache;
+training and rbf_kernel keep the einsum distances of
+numerics.stable_cross_sq_dists.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..numerics import ROW_TILE, column_tile_product, cross_path, stable_cross_sq_dists
+from ..numerics import ROW_TILE, cross_path, stable_cross_sq_dists
 
 _TAU = 1e-12
 
@@ -178,43 +180,53 @@ def predict_svr(model: SvrModel, v: np.ndarray) -> np.ndarray:
 
     BLAS computes -gamma * d2 itself: with left rows [2 gamma sv_i,
     -gamma |sv_i|^2, -gamma] and right columns [v_j; 1; |v_j|^2], the
-    product is -gamma (|sv_i|^2 + |v_j|^2 - 2 sv_i . v_j).  The kernel of
-    ROW_TILE query rows is built one slab of ROW_TILE support vectors at a
-    time, each slab one column_tile_product of shape (ROW_TILE, t + 2) @
-    (t + 2, ROW_TILE), the last slab's rows and the last block's columns
-    zero-padded; each slab is clamped at 0 (rounding can leave it slightly
-    positive) and exponentiated while it is still in cache, and the
-    coefficient sums then run over the support vectors' rows.  So every
-    product has one shape, a query's bits depend only on its own column,
-    and a call costs at least one block of slabs.  When that shape fails its
-    self-test, prediction keeps the einsum blocks, whose rows do not depend
-    on the block they are computed in.
+    product is -gamma (|sv_i|^2 + |v_j|^2 - 2 sv_i . v_j).  Each block of up
+    to ROW_TILE query rows fills one such tile of columns, the last block's
+    padded columns zero, and runs through one (ROW_TILE + 1, ROW_TILE)
+    buffer that stays in cache: for each slab of ROW_TILE support vectors
+    (the last slab's rows zero-padded), one (ROW_TILE, t + 2) @ (t + 2,
+    ROW_TILE) product fills rows 1 onwards; the support vectors' rows are
+    clamped at 0 (rounding can leave them slightly positive) and
+    exponentiated; and row 0, which carries the coefficient sum, becomes
+    row 0 plus those rows times their coefficients.  einsum("ij,i->j") adds
+    the rows in order, so carrying the sum gives each column the bits of
+    one einsum over all the support vectors' rows.  Every product has one
+    shape and a query's bits depend only on its own column.  When that
+    shape fails its self-test, prediction keeps the einsum blocks, whose
+    rows do not depend on the block they are computed in.
     """
     nsv, t = model.support_vectors.shape
     if slab_path(t) == "einsum":
         return _predict_einsum_blocks(model, v)
     sv = model.support_vectors
     gamma = model.gamma
-    left = np.zeros((-(-nsv // ROW_TILE) * ROW_TILE, t + 2))
+    nslab = -(-nsv // ROW_TILE)
+    left = np.zeros((nslab * ROW_TILE, t + 2))
     np.multiply(sv, 2.0 * gamma, out=left[:nsv, :t])
     left[:nsv, t] = -gamma * np.einsum("ij,ij->i", sv, sv)
     left[:nsv, t + 1] = -gamma
-    aug = np.empty((min(v.shape[0], ROW_TILE), t + 2))
-    aug[:, t] = 1.0
+    # weights[s] multiplies buffer rows [carried sum, slab s]
+    weights = np.ones((nslab, ROW_TILE + 1))
+    weights[:, 1:] = np.pad(model.coefficients, (0, nslab * ROW_TILE - nsv)).reshape(nslab, -1)
     tile = np.empty((t + 2, ROW_TILE))
-    k = np.empty((left.shape[0], ROW_TILE))
+    buf = np.empty((ROW_TILE + 1, ROW_TILE))
     out = np.empty(v.shape[0])
     for start in range(0, v.shape[0], ROW_TILE):
         block = v[start : start + ROW_TILE]
         rows = block.shape[0]
-        aug[:rows, :t] = block
-        aug[:rows, t + 1] = np.einsum("ij,ij->i", block, block)
-        for s in range(0, left.shape[0], ROW_TILE):
-            slab = k[s : s + ROW_TILE]
-            column_tile_product(left[s : s + ROW_TILE], aug[:rows], tile, slab)
+        tile[:t, :rows] = block.T
+        tile[t, :rows] = 1.0
+        tile[t + 1, :rows] = np.einsum("ij,ij->i", block, block)
+        tile[:, rows:] = 0.0
+        buf[0] = 0.0
+        for s in range(nslab):
+            stop = 1 + min(ROW_TILE, nsv - s * ROW_TILE)  # buffer rows in use
+            np.matmul(left[s * ROW_TILE : (s + 1) * ROW_TILE], tile, out=buf[1:])
+            slab = buf[1:stop]
             np.minimum(slab, 0.0, out=slab)
             np.exp(slab, out=slab)
-        out[start : start + rows] = np.einsum("ij,i->j", k[:nsv], model.coefficients)[:rows]
+            buf[0] = np.einsum("ij,i->j", buf[:stop], weights[s, :stop])
+        out[start : start + rows] = buf[0, :rows]
     return out + model.bias
 
 

@@ -92,6 +92,21 @@ class TestMeasurementSet:
         for loc in [(-1, 0), (3, 0), (0, -1), (0, 4), (-1, -1)]:
             assert loc not in mset
 
+    def test_entries_given_at_construction_go_through_add(self):
+        given = [((1, 2), 50.0), (PixelLocation(0, 3), 7.0)]
+        mset = MeasurementSet(width=4, height=3, entries=given)
+        assert mset.k == 2 and mset.mask.sum() == 2
+        assert (1, 2) in mset and (0, 3) in mset
+        assert mset.entries == [(PixelLocation(1, 2), 50.0), (PixelLocation(0, 3), 7.0)]
+        assert mset.value_grid()[1, 2] == 50.0
+        assert mset.measured_indices().tolist() == [3, 6]
+        mset.add((2, 2), 1.0)
+        assert len(given) == 2  # the caller's list is not the set's
+        with pytest.raises(DuplicateMeasurementError):
+            MeasurementSet(width=4, height=3, entries=[((1, 2), 1.0), ((1, 2), 2.0)])
+        with pytest.raises(OutOfBoundsError):
+            MeasurementSet(width=4, height=3, entries=[((3, 0), 1.0)])
+
     def test_exhaustion(self, mset):
         for r in range(3):
             for c in range(4):
@@ -113,6 +128,8 @@ class TestMeasurementSet:
         dup.add((1, 1), 2.0)
         assert mset.k == 1 and dup.k == 2
         assert not mset.mask[1, 1]
+        assert mset.value_grid()[1, 1] == 0.0 and dup.value_grid()[1, 1] == 2.0
+        assert dup.value_grid()[0, 0] == 1.0
 
 
 class TestDistortion:

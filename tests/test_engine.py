@@ -28,7 +28,7 @@ from sparsescan.engine import (
 )
 from sparsescan.features import FeatureStats, neighbour_terms
 from sparsescan.recon import IdwParams, reconstruct, save_reconstruction
-from sparsescan.regress import ErdModel, LinearModel, MlpModel, predict_batch
+from sparsescan.regress import ErdModel, LinearModel, MlpModel, fit_svr, predict_batch
 from sparsescan.regress.mlp import init_params
 from sparsescan.synth import blob_image
 from sparsescan.training import TrainingSchedule, train_erd_model
@@ -61,6 +61,20 @@ def untrained_nn(params):
     return ErdModel(
         kind="nn",
         payload=MlpModel(weights=tuple(weights), biases=tuple(biases), activation="relu"),
+        stats=FeatureStats(means=np.zeros(6), stds=np.full(6, 20.0)),
+        idw=params,
+    )
+
+
+def fitted_svr(params):
+    """svr scorer fitted to 300 random rows; its support vectors fill more
+    than one slab of the kernel."""
+    rng = np.random.default_rng(6)
+    payload = fit_svr(rng.standard_normal((300, 6)), rng.standard_normal(300), epsilon=0.01)
+    assert payload.support_vectors.shape[0] > numerics.ROW_TILE
+    return ErdModel(
+        kind="svr",
+        payload=payload,
         stats=FeatureStats(means=np.zeros(6), stds=np.full(6, 20.0)),
         idw=params,
     )
@@ -753,7 +767,7 @@ class TestBlockSize:
         return out
 
     def test_block_edges_change_no_bits(self, trained_lsq, monkeypatch):
-        models = {"lsq": trained_lsq, "nn": untrained_nn(PARAMS)}
+        models = {"lsq": trained_lsq, "nn": untrained_nn(PARAMS), "svr": fitted_svr(PARAMS)}
         default = self.outputs(models)
         monkeypatch.setattr(numerics, "ROW_BLOCK", 7)
         assert len(numerics.row_blocks(8448)) == 1207

@@ -17,7 +17,6 @@ import pytest
 from sparsescan import numerics
 from sparsescan.numerics import (
     ROW_TILE,
-    column_tile_product,
     cross_path,
     exact_abs_sum,
     matmul_path,
@@ -174,17 +173,13 @@ class TestColumnTiles:
     """SVR's kernel runs as (ROW_TILE, k) @ (k, ROW_TILE) column tiles behind
     the same self-test, turned round."""
 
-    def test_product_fills_padded_columns_with_zeros(self):
+    def test_self_test_product_spans_a_full_and_a_padded_tile(self):
         rng = np.random.default_rng(25)
         b = rng.standard_normal((40, 6))
-        a = rng.standard_normal((7, 6))
-        tile = np.full((6, ROW_TILE), np.nan)
-        out = np.empty((40, ROW_TILE))
-        got = column_tile_product(b, a, tile, out)
-        assert got is out
-        np.testing.assert_allclose(got[:, :7], np.einsum("ij,kj->ik", b, a), rtol=1e-12)
-        assert np.array_equal(tile[:, 7:], np.zeros((6, ROW_TILE - 7)))
-        assert np.array_equal(got[:, 7:], np.zeros((40, ROW_TILE - 7)))
+        a = rng.standard_normal((ROW_TILE + 7, 6))
+        got = numerics._blas_column_tiles(a, b)
+        assert got.shape == (ROW_TILE + 7, 40)
+        np.testing.assert_allclose(got, np.einsum("ij,kj->ik", a, b), rtol=1e-12)
 
     def test_self_test_accepts_an_invariant_product(self, fresh_self_test, monkeypatch):
         monkeypatch.setattr(numerics, "_blas_column_tiles", lambda a, b: _einsum_matmul(a, b.T))

@@ -83,6 +83,37 @@ def whole_batch_formula(model, q):
     return np.einsum("ij,j->i", k, model.coefficients) + model.bias
 
 
+def one_kernel_block_formula(model, q):
+    """The slab arithmetic with the whole kernel of a query block kept at once.
+
+    Each block of up to ROW_TILE query rows gets every slab's product in one
+    (slabs * ROW_TILE, ROW_TILE) array, clamped and exponentiated whole, and
+    then one einsum over the support vectors' rows.
+    """
+    sv = model.support_vectors
+    nsv, t = sv.shape
+    gamma = model.gamma
+    padded = -(-nsv // ROW_TILE) * ROW_TILE
+    left = np.zeros((padded, t + 2))
+    left[:nsv, :t] = sv * (2.0 * gamma)
+    left[:nsv, t] = -gamma * np.einsum("ij,ij->i", sv, sv)
+    left[:nsv, t + 1] = -gamma
+    out = np.empty(q.shape[0])
+    for start in range(0, q.shape[0], ROW_TILE):
+        block = q[start : start + ROW_TILE]
+        rows = block.shape[0]
+        tile = np.zeros((t + 2, ROW_TILE))
+        tile[:t, :rows] = block.T
+        tile[t, :rows] = 1.0
+        tile[t + 1, :rows] = np.einsum("ij,ij->i", block, block)
+        k = np.empty((padded, ROW_TILE))
+        for s in range(0, padded, ROW_TILE):
+            np.matmul(left[s : s + ROW_TILE], tile, out=k[s : s + ROW_TILE])
+        np.exp(np.minimum(k, 0.0), out=k)
+        out[start : start + rows] = np.einsum("ij,i->j", k[:nsv], model.coefficients)[:rows]
+    return out + model.bias
+
+
 def extended_precision_formula(model, q):
     """whole_batch_formula evaluated in np.longdouble, 100 query rows at a time.
 
@@ -270,6 +301,29 @@ class TestPrediction:
         assert np.array_equal(predict_svr(model, q[perm]), full[perm])
         for i in {0, min(ROW_TILE - 1, m - 1), min(ROW_TILE, m - 1), m - 1}:
             assert predict_svr(model, q[i : i + 1])[0] == full[i]
+
+    @pytest.mark.parametrize("m", [1, 3, ROW_TILE - 1, ROW_TILE, ROW_TILE + 1, 718, 4097])
+    @pytest.mark.parametrize("nsv", [1, ROW_TILE - 1, ROW_TILE, ROW_TILE + 1, 600])
+    def test_slab_sums_equal_one_kernel_block(self, m, nsv):
+        # carrying the coefficient sum from slab to slab must give each query
+        # the bits of one einsum over the whole kernel block
+        model = random_svr(nsv, seed=nsv + 2)
+        q = np.random.default_rng(m).standard_normal((m, 6))
+        assert predict_svr(model, q).tobytes() == one_kernel_block_formula(model, q).tobytes()
+
+    def test_einsum_adds_a_carried_row_in_order(self):
+        # predict_svr's bits rest on einsum("ij,i->j") adding the rows one
+        # after another: then a sum carried as the first row of the next
+        # chunk, with weight 1, continues the one sum over all the rows
+        rng = np.random.default_rng(19)
+        k = rng.standard_normal((1927, ROW_TILE)) * 10.0 ** rng.integers(-8, 9, (1927, ROW_TILE))
+        coefficients = rng.uniform(-1.0, 1.0, 1927)
+        carried = np.zeros(ROW_TILE)
+        for s in range(0, 1927, ROW_TILE):
+            rows = np.vstack([carried, k[s : s + ROW_TILE]])
+            weights = np.concatenate([[1.0], coefficients[s : s + ROW_TILE]])
+            carried = np.einsum("ij,i->j", rows, weights)
+        assert carried.tobytes() == np.einsum("ij,i->j", k, coefficients).tobytes()
 
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
