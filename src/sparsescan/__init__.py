@@ -21,7 +21,7 @@ from .core import (
 )
 from .recon import IdwParams, nearest_measured, reconstruct
 from .features import FeatureStats, FeatureVector, extract_features, fit_stats, standardize
-from .regress import ErdModel, load_model, predict, predict_batch, save_model
+from .regress import ErdModel, load_model, predict_batch, save_model
 from .regress.linear import LinearModel, fit_linear
 from .regress.svr import SvrModel, fit_svr
 from .regress.mlp import MlpConfig, MlpModel, fit_mlp

@@ -5,6 +5,7 @@ are stable for scripting: 0 success, 1 usage, 2 file I/O, 3 numeric failure.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import math
 import os
@@ -239,11 +240,6 @@ def _resolve_idw(model, window, k_neighbors) -> IdwParams:
     )
 
 
-def _matmul_note(model) -> str:
-    """The product path prediction runs for model; "none" for the random baseline."""
-    return "none" if model is None else prediction_path(model)
-
-
 def _run_config(args, config, model: ErdModel) -> RunConfig:
     initial = merge_option(args, config, "initial")
     budget = merge_option(args, config, "budget")
@@ -301,12 +297,9 @@ def cmd_run(args) -> int:
 
 def _eval_one(task):
     """One (method, seed) run; module-level so process pools can pickle it."""
-    (label, model_path, image_path, noise_sigma, cfg_fields, window, k_neighbors) = task
+    label, model_path, image_path, noise_sigma, config = task
     image = load_image(image_path)
     model = None if model_path is None else load_model(model_path)
-    # reconstruction params follow the model unless flags or --config override them
-    idw = _resolve_idw(model, window, k_neighbors)
-    config = RunConfig(idw=idw, **cfg_fields)
     source = SimulatedSource(image, noise_sigma=noise_sigma, seed=config.seed)
     try:
         if model is None:
@@ -348,28 +341,21 @@ def cmd_eval(args) -> int:
     base_seed = merge_option(args, config, "seed")
     workers = resolve_threads()
     run_config = _run_config(args, config, None)
-    window, k_neighbors = _idw_overrides(args, config)
-
-    tasks = []
-    for label, path in methods:
-        for r in range(repeats):
-            fields = {
-                "initial_density": run_config.initial_density,
-                "budget_density": run_config.budget_density,
-                "checkpoint_densities": run_config.checkpoint_densities,
-                "seed": base_seed + r,
-            }
-            tasks.append(
-                (
-                    label,
-                    path,
-                    os.path.abspath(args.image),
-                    noise_sigma,
-                    fields,
-                    window,
-                    k_neighbors,
-                )
-            )
+    # reconstruction params follow each model unless flags or --config override them
+    overrides = _idw_overrides(args, config)
+    idws = {label: _resolve_idw(model, *overrides) for label, model in models.items()}
+    image_path = os.path.abspath(args.image)
+    tasks = [
+        (
+            label,
+            path,
+            image_path,
+            noise_sigma,
+            dataclasses.replace(run_config, seed=base_seed + r, idw=idws[label]),
+        )
+        for label, path in methods
+        for r in range(repeats)
+    ]
 
     if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -405,13 +391,14 @@ def cmd_eval(args) -> int:
                 f"{repr(float(p.std()))},{repr(float(dist.mean()))},{repr(wall_mean)}"
             )
     atomic_write_text(args.out, "\n".join(lines) + "\n")
-    idws = {label: _resolve_idw(model, window, k_neighbors) for label, model in models.items()}
+
+    matmul = {label: "none" if m is None else prediction_path(m) for label, m in models.items()}
 
     def per_method(value):
         return ";".join(f"{label}:{value(label)}" for label, _ in methods)
 
     pairs = [
-        ("image", os.path.abspath(args.image)),
+        ("image", image_path),
         ("methods", ";".join(label for label, _ in methods)),
         ("initial", run_config.initial_density),
         ("budget", run_config.budget_density),
@@ -421,7 +408,7 @@ def cmd_eval(args) -> int:
         ("noise_sigma", noise_sigma),
         ("window", per_method(lambda label: idws[label].window)),
         ("neighbors", per_method(lambda label: idws[label].neighbors)),
-        ("matmul", per_method(lambda label: _matmul_note(models[label]))),
+        ("matmul", per_method(matmul.__getitem__)),
     ]
     atomic_write_text(args.out + ".cfg", effective_config_text(pairs))
     print(f"wrote {args.out} ({len(methods)} methods x {repeats} repeats)")

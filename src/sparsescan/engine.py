@@ -153,9 +153,29 @@ class SamplingRun:
         return len(self.history)
 
 
-def _check_finite(erd: np.ndarray, step: int) -> None:
-    """A non-finite prediction cannot be ranked; fail naming the step it was for."""
-    bad = int(np.count_nonzero(~np.isfinite(erd)))
+def _score(model, pixels: np.ndarray, features, scores: np.ndarray, step: int, workers: int = 1):
+    """Write the predicted ERD of pixels into scores, ROW_BLOCK pixels at a time.
+
+    features(block) gives the descriptor rows of pixels[block].  The blocks
+    run serially or, given more than one worker, on a thread pool; prediction
+    is row-stable, so the scores are the same either way.  A non-finite
+    prediction cannot be ranked: it raises FloatingPointError naming the step
+    the scores choose.
+    """
+
+    def score(block):
+        scores[pixels[block]] = predict_batch(model, features(block))
+
+    blocks = row_blocks(pixels.size)
+    if workers <= 1:
+        for block in blocks:
+            score(block)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(score, blocks))
+    bad = int(np.count_nonzero(~np.isfinite(scores[pixels])))
     if bad:
         raise FloatingPointError(
             f"model predicted {bad} non-finite ERD value(s) choosing step {step}"
@@ -168,13 +188,6 @@ def _distinct(ascending: np.ndarray) -> np.ndarray:
     first[:1] = True
     first[1:] = ascending[1:] != ascending[:-1]
     return ascending[first]
-
-
-def _argmax(state, scores: np.ndarray):
-    """(location, score) of the max-score active pixel, ties to the lowest index."""
-    top = np.max(scores[state.active])
-    lin = int(np.flatnonzero(state.active & (scores == top)).min())
-    return location_of(lin, state.width), float(top)
 
 
 class ReconState:
@@ -190,8 +203,7 @@ class ReconState:
     one.  Measured values never change, so an estimate changes only with its
     list: a measurement writes its value and re-estimates the pixels whose
     lists changed, wherever they lie, and recon_flat stays equal to
-    reconstruct(mset), bit for bit.  Given recon, select_next's state reads
-    recon instead; it only scores.
+    reconstruct(mset), bit for bit.
 
     What else a neighbour list alone fixes is cached per pixel in terms
     (neighbour_terms) and refreshed with the estimate, so a feature row is a
@@ -207,7 +219,7 @@ class ReconState:
     rows whose lists changed and for the row of the new pixel.
     """
 
-    def __init__(self, mset: MeasurementSet, params: IdwParams, recon: Reconstruction = None):
+    def __init__(self, mset: MeasurementSet, params: IdwParams):
         neighbors.check_grid_capacity(mset.width, mset.height)
         if mset.k == 0:
             raise ValueError("measurement set is empty")
@@ -234,8 +246,6 @@ class ReconState:
         for block in row_blocks(unmeasured.size):
             rows = unmeasured[block]
             self._refresh(rows, self.comp[rows])
-        if recon is not None:
-            self.recon_flat[:] = recon.values.ravel()
         self.cnt = measured_counts_grid(mset.mask, params.window)
         self.reach = np.full(self.height, -1, dtype=np.int64)
         self._update_reach(np.arange(self.height))
@@ -335,12 +345,12 @@ class _Greedy:
     inputs could have changed are rescored: prediction is row-stable, so
     that gives the scores a full rescoring would.
 
-    Predictions must be finite (a non-finite one raises FloatingPointError).
-    Measured pixels score -inf, and row_max holds the largest score of each
-    image row.  best() takes the first maximal row, then the first maximal
-    pixel in it: that is the lowest linear index among the top scores, the
-    tie rule of _argmax.  A step refreshes the maxima of the rows it
-    rescored and of the new pixel's row.
+    Pixels are scored by _score, as in select_next.  Measured pixels score
+    -inf, and row_max holds the largest score of each image row.  best()
+    takes the first maximal row, then the first maximal pixel in it: that is
+    the lowest linear index among the top scores, np.argmax's tie rule over
+    all scores.  A step refreshes the maxima of the rows it rescored and of
+    the new pixel's row.
     """
 
     def __init__(self, state: ReconState, model):
@@ -354,10 +364,10 @@ class _Greedy:
         return self.scores.reshape(self.state.height, self.state.width)
 
     def _rescore(self, pixels: np.ndarray) -> None:
-        for block in row_blocks(pixels.size):
-            rows = pixels[block]
-            self.scores[rows] = predict_batch(self.model, self.state.features(rows))
-        _check_finite(self.scores[pixels], self.state.mset.k + 1)
+        def features(block):
+            return self.state.features(pixels[block])
+
+        _score(self.model, pixels, features, self.scores, self.state.mset.k + 1)
 
     def best(self):
         r = int(np.argmax(self.row_max))
@@ -404,9 +414,10 @@ def select_next(model, recon: Reconstruction, mset: MeasurementSet, workers: int
     """Highest predicted-ERD unmeasured pixel against the given reconstruction.
 
     Returns (PixelLocation, predicted_erd); ties break to the lowest linear
-    index.  Pixels are scored ROW_BLOCK at a time, serially or, given more
-    than one worker, on a thread pool; prediction is row-stable, so the
-    result is the same either way.  A non-finite prediction raises FloatingPointError.
+    index.  Scores every unmeasured pixel from scratch: one neighbour search
+    and one window count of mset, then descriptor rows read from recon, scored
+    by _score, serially or on a pool of workers threads.  A non-finite
+    prediction raises FloatingPointError.
     """
     if (recon.width, recon.height) != (mset.width, mset.height):
         raise ValueError("reconstruction and measurement set dimensions differ")
@@ -414,24 +425,22 @@ def select_next(model, recon: Reconstruction, mset: MeasurementSet, workers: int
         raise ValueError("at least one measurement required")
     if mset.k == mset.width * mset.height:
         raise ValueError("image fully measured")
-    state = ReconState(mset, model.idw, recon)
-    pixels = np.flatnonzero(state.active)
-    blocks = [pixels[block] for block in row_blocks(pixels.size)]
-    scores = np.full(state.n, -np.inf)
+    w, h, params = mset.width, mset.height, model.idw
+    neighbors.check_grid_capacity(w, h)
+    pixels = mset.unmeasured_indices()
+    comp = neighbors.knn_measured(pixels, mset.measured_indices(), w, h, params.neighbors)
+    values = mset.value_grid().ravel()
+    cnt = measured_counts_grid(mset.mask, params.window)
 
-    def score(rows):
-        scores[rows] = predict_batch(model, state.features(rows))
+    def features(block):
+        rr, cc = np.divmod(pixels[block], w)
+        terms = neighbour_terms(comp[block], w * h, values)
+        return compute_feature_matrix(recon.values, rr, cc, terms, cnt[rr, cc], params)
 
-    if workers <= 1:
-        for rows in blocks:
-            score(rows)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(score, blocks))
-    _check_finite(scores[pixels], mset.k + 1)
-    return _argmax(state, scores)
+    scores = np.full(w * h, -np.inf)
+    _score(model, pixels, features, scores, mset.k + 1, workers)
+    lin = int(np.argmax(scores))
+    return location_of(lin, w), float(scores[lin])
 
 
 def _query(source, loc, step: int) -> float:

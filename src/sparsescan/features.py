@@ -19,8 +19,9 @@ The features depend on three different inputs:
   - f1, f2 and f4 read the reconstruction (f4 compares the estimate at s
     with the neighbour values), and compute_feature_matrix assembles them;
   - f6 depends only on the window's measured count.
-The batch path and the single-pixel path call the same two functions, so
-they agree bitwise.
+The sampler's batch path (terms cached per pixel), select_next's (terms
+built from scratch) and the single-pixel path call the same two functions,
+so they agree bitwise.
 """
 
 from dataclasses import dataclass

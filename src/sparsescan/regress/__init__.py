@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..features import FeatureStats, FeatureVector, standardize
+from ..features import FeatureStats, standardize
 from ..numerics import matmul_path, stable_matvec
 from ..recon import IdwParams
 from .linear import LinearModel, fit_linear
@@ -72,14 +72,6 @@ def prediction_path(model: ErdModel) -> str:
     return "einsum"
 
 
-def predict(model: ErdModel, features) -> float:
-    """Predicted ERD for a single feature vector or FeatureVector."""
-    if isinstance(features, FeatureVector):
-        features = features.values
-    row = np.asarray(features, dtype=np.float64).reshape(1, -1)
-    return float(predict_batch(model, row)[0])
-
-
 from .modelio import (  # noqa: E402  (needs ErdModel defined first)
     ModelChecksumError,
     ModelFormatError,
@@ -105,7 +97,6 @@ __all__ = [
     "fit_mlp",
     "fit_svr",
     "load_model",
-    "predict",
     "predict_batch",
     "prediction_path",
     "save_model",

@@ -12,6 +12,7 @@ from sparsescan.core import (
     GroundTruthImage,
     MeasurementSet,
     PixelLocation,
+    Reconstruction,
     psnr,
 )
 from sparsescan.engine import (
@@ -26,7 +27,7 @@ from sparsescan.engine import (
     save_history_csv,
     select_next,
 )
-from sparsescan.features import FeatureStats, neighbour_terms
+from sparsescan.features import FeatureStats, extract_features, neighbour_terms
 from sparsescan.recon import IdwParams, reconstruct, save_reconstruction
 from sparsescan.regress import ErdModel, LinearModel, MlpModel, fit_svr, predict_batch
 from sparsescan.regress.mlp import init_params
@@ -216,6 +217,25 @@ class TestSelectNext:
             assert serial_loc == par_loc
             assert serial_score == par_score
 
+    def test_scores_the_given_reconstruction(self, trained_lsq):
+        # exhaustive oracle: the single-pixel descriptor of every unmeasured
+        # pixel against a reconstruction that is not reconstruct(mset),
+        # scored row by row, argmax with ties to the lowest linear index
+        image = blob_image(size=16, seed=11)
+        params = trained_lsq.idw
+        for seed, model in enumerate((trained_lsq, untrained_nn(params), trained_lsq)):
+            mset = seeded_mask(image, 20 + 5 * seed, seed)
+            exact = reconstruct(mset, params)
+            noise = np.random.default_rng(seed).normal(0.0, 8.0, exact.values.shape)
+            recon = Reconstruction(width=16, height=16, values=exact.values + noise)
+            locs = [PixelLocation(*divmod(int(p), 16)) for p in mset.unmeasured_indices()]
+            rows = [extract_features(recon, mset, s, params).values for s in locs]
+            scores = np.concatenate([predict_batch(model, row[None, :]) for row in rows])
+            best = int(np.argmax(scores))
+            loc, erd = select_next(model, recon, mset)
+            assert (loc, erd.hex()) == (locs[best], scores[best].hex())
+            assert erd != select_next(model, exact, mset)[1]
+
     def test_errors(self, trained_lsq):
         image = blob_image(size=4, seed=0)
         full = MeasurementSet(width=4, height=4)
@@ -307,9 +327,10 @@ class TestRunSampling:
     @staticmethod
     def assert_each_step_matches_select_next(model, image, config):
         """Drive the engine's state as run_sampling does.  At every step the
-        lazily rescored argmax must equal select_next, which rebuilds the
-        neighbour lists and window counts and rescores every row, against
-        the same reconstruction: location and predicted-ERD bits.  Every
+        lazily rescored argmax of the incremental state must equal
+        select_next, which searches the neighbour lists, counts the windows
+        and scores every row from scratch, against the same reconstruction:
+        location and predicted-ERD bits.  Every
         kept score must equal a rescoring of a rebuilt state, bit for bit,
         and the neighbour lists and per-row caches their recomputation."""
         assert config.idw == model.idw  # select_next reconstructs with the model's params
@@ -324,7 +345,8 @@ class TestRunSampling:
             recon = state.reconstruction()
             ref_loc, ref_erd = select_next(model, recon, mset)
             assert (loc, erd.hex()) == (ref_loc, ref_erd.hex()), f"step {mset.k + 1}"
-            rebuilt = ReconState(mset, config.idw, recon)
+            rebuilt = ReconState(mset, config.idw)
+            assert rebuilt.recon_flat.tobytes() == recon.values.tobytes()
             full = predict_batch(model, rebuilt.features(np.flatnonzero(rebuilt.active)))
             np.testing.assert_array_equal(policy.scores[state.active], full)
             policy.measured(loc, state.measure(loc, float(image.values[loc])))
@@ -799,6 +821,15 @@ class TestSetupMemory:
         mset = seeded_mask(image, math.ceil(0.01 * image.pixel_count), seed=1)
         assert self.transient_mb(lambda: reconstruct(mset, PARAMS)) < 16
         assert self.transient_mb(lambda: ReconState(mset, PARAMS)) < 16
+
+    def test_select_next_at_256(self, trained_lsq):
+        # select_next scores from scratch and keeps no sampler state: one
+        # neighbour search (80 bytes a pixel at k = 10) and a few per-pixel
+        # arrays, about 8.6 MB here
+        image = blob_image(256, seed=7)
+        mset = seeded_mask(image, math.ceil(0.01 * image.pixel_count), seed=1)
+        recon = reconstruct(mset, trained_lsq.idw)
+        assert self.transient_mb(lambda: select_next(trained_lsq, recon, mset)) < 12
 
     def test_knn_measured_with_a_crowded_corner_at_256(self):
         # a far tile's candidates are a band of the corner: its rows x

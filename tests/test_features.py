@@ -163,7 +163,8 @@ class TestBatchMatchesSinglePixel:
 
     @staticmethod
     def assert_rows_match(mset, recon, params, pixels=None):
-        state = ReconState(mset, params, recon)
+        state = ReconState(mset, params)
+        assert state.recon_flat.tobytes() == recon.values.tobytes()
         if pixels is None:
             pixels = np.flatnonzero(state.active)
         assert pixels.size
