@@ -360,7 +360,7 @@ def cmd_eval(args) -> int:
     if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_eval_one, tasks))
     else:
         results = [_eval_one(t) for t in tasks]

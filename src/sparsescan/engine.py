@@ -12,10 +12,10 @@ A step touches only pixels the new measurement can reach.  Two per-image-row
 caches bound the work: the largest k-th-neighbour composite of each row
 limits which neighbour lists an insertion has to look at, and the largest
 score of each row lets the argmax skip rows nothing changed in.  What a
-neighbour list fixes (the IDW estimate and the list-only descriptor terms)
-is cached per pixel and recomputed only for the lists a step changed.  So a
-step costs what the neighbour reach and the window cost, not what the image
-does.
+neighbour list fixes (the IDW estimate, and the descriptor terms of the list
+and that estimate) is cached per pixel and recomputed only for the lists a
+step changed.  So a step costs what the neighbour reach and the window
+cost, not what the image does.
 """
 
 import math
@@ -36,12 +36,7 @@ from .core import (
     location_of,
     psnr,
 )
-from .features import (
-    NeighbourTerms,
-    compute_feature_matrix,
-    measured_counts_grid,
-    neighbour_terms,
-)
+from .features import compute_feature_matrix, measured_counts_grid, neighbour_terms
 from .numerics import row_blocks
 from .recon import IdwParams, idw_from_neighbors, window_bounds
 from .regress import predict_batch
@@ -84,6 +79,8 @@ class SimulatedSource:
         return self.image.height
 
     def value(self, s) -> float:
+        if not (0 <= s[0] < self.height and 0 <= s[1] < self.width):
+            raise ValueError(f"{s} outside {self.width}x{self.height} grid")
         return float(self.image.values[s[0], s[1]] + self._noise[s[0], s[1]])
 
 
@@ -205,9 +202,9 @@ class ReconState:
     lists changed, wherever they lie, and recon_flat stays equal to
     reconstruct(mset), bit for bit.
 
-    What else a neighbour list alone fixes is cached per pixel in terms
-    (neighbour_terms) and refreshed with the estimate, so a feature row is a
-    gather of terms.
+    terms holds each unmeasured pixel's neighbour_terms against its
+    estimate.  Both are fixed by the list, so they are written together, and
+    a feature row reads one row of terms.
 
     reach[r] is the largest k-th-neighbour composite (comp[:, -1]) among the
     active pixels of image row r, or -1 when the row has none.  A new pixel
@@ -235,14 +232,7 @@ class ReconState:
             unmeasured, mset.measured_indices(), self.width, self.height, params.neighbors
         )
         self.recon_flat = mset.value_grid().ravel().copy()
-        k = params.neighbors
-        self.terms = NeighbourTerms(
-            np.zeros((self.n, k)),
-            np.zeros((self.n, k), dtype=bool),
-            np.zeros(self.n),
-            np.zeros(self.n),
-            np.zeros(self.n),
-        )
+        self.terms = np.zeros((self.n, 3))
         for block in row_blocks(unmeasured.size):
             rows = unmeasured[block]
             self._refresh(rows, self.comp[rows])
@@ -253,12 +243,12 @@ class ReconState:
     def _refresh(self, pixels: np.ndarray, comp: np.ndarray) -> None:
         """Re-estimate pixels and recompute their terms from their neighbour composites.
 
-        Both read only measured values, so pixels can be refreshed in any grouping.
+        An estimate reads only measured values, and the terms only those and
+        the pixel's new estimate, so pixels can be refreshed in any grouping.
         """
         flat = self.recon_flat
         flat[pixels] = idw_from_neighbors(comp, self.n, flat, self.params.power)
-        for cache, fresh in zip(self.terms, neighbour_terms(comp, self.n, flat)):
-            cache[pixels] = fresh
+        self.terms[pixels] = neighbour_terms(comp, self.n, flat, flat[pixels])
 
     def _update_reach(self, rows: np.ndarray) -> None:
         last = self.comp[:, -1].reshape(self.height, self.width)[rows]
@@ -305,7 +295,7 @@ class ReconState:
             self.recon_flat.reshape(self.height, self.width),
             rr,
             cc,
-            NeighbourTerms(*(t.take(pixels, axis=0) for t in self.terms)),
+            self.terms.take(pixels, axis=0),
             self.cnt[rr, cc],
             self.params,
         )
@@ -430,11 +420,12 @@ def select_next(model, recon: Reconstruction, mset: MeasurementSet, workers: int
     pixels = mset.unmeasured_indices()
     comp = neighbors.knn_measured(pixels, mset.measured_indices(), w, h, params.neighbors)
     values = mset.value_grid().ravel()
+    center = recon.values.ravel()
     cnt = measured_counts_grid(mset.mask, params.window)
 
     def features(block):
         rr, cc = np.divmod(pixels[block], w)
-        terms = neighbour_terms(comp[block], w * h, values)
+        terms = neighbour_terms(comp[block], w * h, values, center[pixels[block]])
         return compute_feature_matrix(recon.values, rr, cc, terms, cnt[rr, cc], params)
 
     scores = np.full(w * h, -np.inf)

@@ -4,7 +4,7 @@ Six features in fixed order for an unmeasured pixel s:
   f1  horizontal gradient magnitude of the reconstruction at s
   f2  vertical gradient magnitude
   f3  standard deviation of the nearest measured neighbor values
-  f4  mean absolute difference between the estimate at s and those values
+  f4  mean absolute difference between the reconstruction at s and those values
   f5  Euclidean distance to the nearest measured pixel
   f6  fraction of pixels measured within Chebyshev radius w of s
 
@@ -13,11 +13,12 @@ borders.  f6 always divides by the full (2w+1)^2 window area, so border
 pixels see smaller fractions.
 
 The features depend on three different inputs:
-  - f3 and f5, with the neighbour values and their valid mask, depend only
-    on the pixel's neighbour list (measured values never change), so
-    neighbour_terms computes them once per list;
-  - f1, f2 and f4 read the reconstruction (f4 compares the estimate at s
-    with the neighbour values), and compute_feature_matrix assembles them;
+  - f3, f4 and f5 depend only on the pixel's neighbour list (measured values
+    never change) and, for f4, on the value at s.  An unmeasured pixel's
+    estimate is fixed by its list, so neighbour_terms computes the three
+    once per list, against the given centre values;
+  - f1 and f2 read the reconstruction around s, and compute_feature_matrix
+    assembles them around the list terms;
   - f6 depends only on the window's measured count.
 The sampler's batch path (terms cached per pixel), select_next's (terms
 built from scratch) and the single-pixel path call the same two functions,
@@ -25,7 +26,6 @@ so they agree bitwise.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -109,40 +109,34 @@ def measured_counts_grid(mask: np.ndarray, halfwidth: int) -> np.ndarray:
     )
 
 
-class NeighbourTerms(NamedTuple):
-    """Descriptor inputs fixed by the neighbour lists alone, one row per pixel."""
+def neighbour_terms(
+    comp: np.ndarray, n: int, value_flat: np.ndarray, center: np.ndarray
+) -> np.ndarray:
+    """The list terms f3, f4 and f5, as (m, 3) columns, of rows of neighbour composites.
 
-    vals: np.ndarray  # (m, k) neighbour values, 0.0 in invalid slots
-    valid: np.ndarray  # (m, k) which slots hold a measured neighbour
-    counts: np.ndarray  # (m,) valid slots, as float64
-    f3: np.ndarray  # (m,)
-    f5: np.ndarray  # (m,)
-
-
-def neighbour_terms(comp: np.ndarray, n: int, value_flat: np.ndarray) -> NeighbourTerms:
-    """The list-only descriptor terms of rows of canonical neighbour composites.
-
-    Each row depends on its own composites and the measured values alone,
-    with a fixed reduction, so it is bitwise independent of the batch.
+    f4 compares each row's neighbour values with its entry of center, the
+    value at that row's pixel.  Each row depends on its own composites,
+    centre and the measured values alone, with a fixed reduction, so it is
+    bitwise independent of the batch.
     """
     d2, idx, valid = neighbors.decode(comp, n)
     vals = np.where(valid, value_flat[idx], 0.0)
     counts = valid.sum(axis=1).astype(np.float64)
     nb_mean = np.sum(vals, axis=1) / counts
     f3 = np.sqrt(np.sum(np.where(valid, (vals - nb_mean[:, None]) ** 2, 0.0), axis=1) / counts)
-    f5 = np.sqrt(d2[:, 0].astype(np.float64))
-    return NeighbourTerms(vals, valid, counts, f3, f5)
+    f4 = np.sum(np.where(valid, np.abs(center[:, None] - vals), 0.0), axis=1) / counts
+    return np.column_stack([f3, f4, np.sqrt(d2[:, 0].astype(np.float64))])
 
 
 def compute_feature_matrix(
     recon_grid: np.ndarray,
     rows: np.ndarray,
     cols: np.ndarray,
-    terms: NeighbourTerms,
+    terms: np.ndarray,
     window_counts: np.ndarray,
     params: IdwParams,
 ) -> np.ndarray:
-    """Descriptor rows from the list-only terms and the current reconstruction.
+    """Descriptor rows from the list terms and the current reconstruction.
 
     recon_grid is the current (h, w) reconstruction, terms the
     neighbour_terms of each target row, window_counts the number of
@@ -153,7 +147,6 @@ def compute_feature_matrix(
     lin = rows * w + cols
     has_left, has_right = cols > 0, cols < w - 1
     has_up, has_down = rows > 0, rows < h - 1
-    center = flat[lin]
     left = flat[lin - has_left]
     right = flat[lin + has_right]
     up = flat[lin - w * has_up]
@@ -162,11 +155,9 @@ def compute_feature_matrix(
     denom_v = has_up.astype(np.float64) + has_down.astype(np.float64)
     f1 = np.where(denom_h > 0, np.abs(right - left) / np.maximum(denom_h, 1.0), 0.0)
     f2 = np.where(denom_v > 0, np.abs(down - up) / np.maximum(denom_v, 1.0), 0.0)
-    diff = np.where(terms.valid, np.abs(center[:, None] - terms.vals), 0.0)
-    f4 = np.sum(diff, axis=1) / terms.counts
     area = float((2 * params.window + 1) ** 2)
     f6 = window_counts.astype(np.float64) / area
-    return np.stack([f1, f2, terms.f3, f4, terms.f5, f6], axis=1)
+    return np.column_stack([f1, f2, terms, f6])
 
 
 def extract_features(
@@ -189,7 +180,8 @@ def extract_features(
     )
     r0, r1, c0, c1 = window_bounds(s, mset.width, mset.height, params.window)
     count = np.array([np.count_nonzero(mset.mask[r0 : r1 + 1, c0 : c1 + 1])], dtype=np.int64)
-    terms = neighbour_terms(comp, mset.width * mset.height, mset.value_grid().ravel())
+    values = mset.value_grid().ravel()
+    terms = neighbour_terms(comp, values.size, values, recon.values.ravel()[lin])
     matrix = compute_feature_matrix(
         recon.values, np.array([s.row]), np.array([s.col]), terms, count, params
     )

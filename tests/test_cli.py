@@ -545,6 +545,40 @@ class TestEval:
         assert serial.read_bytes() == parallel.read_bytes()
         capsys.readouterr()
 
+    def test_process_pool_is_no_larger_than_the_task_list(
+        self, workdir, tmp_path, monkeypatch, capsys
+    ):
+        # under the fork start method a process pool starts all max_workers
+        # children at its first submit, so this fake stands in for it and
+        # runs the tasks serially
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        serial, pooled = tmp_path / "s.csv", tmp_path / "p.csv"
+        two_tasks = ("--no-walltime", "--repeats", "1")  # one model and random, once each
+        assert run_cli(*self.eval_args(workdir, serial, *two_tasks)) == EXIT_OK
+        assert sizes == []
+        monkeypatch.setenv("SLADS_THREADS", "64")
+        assert run_cli(*self.eval_args(workdir, pooled, *two_tasks)) == EXIT_OK
+        assert sizes == [2]
+        assert serial.read_bytes() == pooled.read_bytes()
+        capsys.readouterr()
+
     def test_config_window_and_neighbors_match_flags(self, workdir, tmp_path, capsys):
         flags, from_cfg, plain = tmp_path / "f.csv", tmp_path / "c.csv", tmp_path / "p.csv"
         cfg = tmp_path / "eval.cfg"

@@ -1,6 +1,7 @@
 """Tests for the greedy sampling loop, baselines and run artifacts."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -122,6 +123,17 @@ class TestSimulatedSource:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             SimulatedSource(blob_image(size=8, seed=1), noise_sigma=-1.0)
+
+    @pytest.mark.parametrize("loc", [(-1, 0), (0, -1), (-1, -1), (6, 0), (0, 8), (6, 8)])
+    def test_location_outside_the_grid_rejected(self, loc):
+        # 6 rows x 8 columns, so a swapped bound shows; numpy alone would
+        # wrap a negative index round to the far edge
+        image = GroundTruthImage.from_array(blob_image(size=8, seed=1).values[:6])
+        src = SimulatedSource(image)
+        with pytest.raises(ValueError, match=re.escape(f"{loc} outside 8x6 grid")):
+            src.value(loc)
+        with pytest.raises(SourceQueryError, match="step 3"):
+            engine._query(src, loc, 3)
 
 
 class TestRunConfig:
@@ -304,9 +316,9 @@ class TestRunSampling:
     def assert_caches_match_rebuild(state, policy):
         """The incremental neighbour lists equal a from-scratch kNN search;
         every active pixel's cached list terms equal neighbour_terms of that
-        search and the whole reconstruction equals reconstruct(mset), bit for
-        bit; and the per-row reach and score maxima equal their
-        recomputation."""
+        search against its estimate, and the whole reconstruction equals
+        reconstruct(mset), bit for bit; and the per-row reach and score
+        maxima equal their recomputation."""
         h, w = state.height, state.width
         active = np.flatnonzero(state.active)
         if active.size:
@@ -314,9 +326,9 @@ class TestRunSampling:
                 active, state.mset.measured_indices(), w, h, state.params.neighbors
             )
             np.testing.assert_array_equal(state.comp[active], rebuilt)
-            fresh = neighbour_terms(rebuilt, state.n, state.mset.value_grid().ravel())
-            for name, cached, want in zip(fresh._fields, state.terms, fresh):
-                assert cached[active].tobytes() == want.tobytes(), name
+            values = state.mset.value_grid().ravel()
+            fresh = neighbour_terms(rebuilt, state.n, values, state.recon_flat[active])
+            assert state.terms[active].tobytes() == fresh.tobytes()
         ref = reconstruct(state.mset, state.params).values.ravel()
         assert state.recon_flat.tobytes() == ref.tobytes()
         reach = np.where(state.active, state.comp[:, -1], -1).reshape(h, w).max(axis=1)
@@ -771,8 +783,7 @@ class TestBlockSize:
         state = ReconState(mset.copy(), PARAMS)
         out["comp"] = state.comp
         out["recon_flat"] = state.recon_flat
-        for name, cache in zip(state.terms._fields, state.terms):
-            out[f"terms.{name}"] = cache
+        out["terms"] = state.terms
         for kind, model in models.items():
             out[f"{kind} initial scores"] = _Greedy(ReconState(mset.copy(), PARAMS), model).scores
             for workers in (1, 4):
@@ -801,7 +812,7 @@ class TestBlockSize:
 
 
 class TestSetupMemory:
-    """A full-image build keeps about 210 bytes a pixel; its temporaries
+    """A full-image build keeps about 121 bytes a pixel; its temporaries
     must not grow with the image the way the kept arrays do."""
 
     @staticmethod
@@ -821,6 +832,20 @@ class TestSetupMemory:
         mset = seeded_mask(image, math.ceil(0.01 * image.pixel_count), seed=1)
         assert self.transient_mb(lambda: reconstruct(mset, PARAMS)) < 16
         assert self.transient_mb(lambda: ReconState(mset, PARAMS)) < 16
+
+    def test_recon_state_keeps_about_121_bytes_a_pixel_at_256(self):
+        # neighbour keys 80, f3-f5 24, reconstruction 8, window counts 8 and
+        # the unmeasured mask 1: 7.6 MB for 65,536 pixels
+        image = blob_image(256, seed=7)
+        mset = seeded_mask(image, math.ceil(0.01 * image.pixel_count), seed=1)
+        tracemalloc.start()
+        try:
+            state = ReconState(mset, PARAMS)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del state
+        assert kept / 2**20 < 8
 
     def test_select_next_at_256(self, trained_lsq):
         # select_next scores from scratch and keeps no sampler state: one

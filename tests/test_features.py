@@ -139,6 +139,26 @@ class TestDescriptorValues:
                 oracle = straight_line_features(recon.values, mset, s, params)
                 np.testing.assert_allclose(fv.values, oracle, rtol=1e-12, atol=1e-12)
 
+    def test_reconstruction_other_than_the_exact_one_matches_oracle(self):
+        # in the sampler the value at s is always its list's IDW estimate;
+        # here noise moves every value and +300 lifts the value at s above
+        # all its neighbour values (drawn from [0, 255]), so f1, f2 and f4
+        # must each read the given reconstruction, centre included
+        params = IdwParams(neighbors=6, window=3)
+        for seed in range(4):
+            mset, exact = random_case(12, 12, 25, seed, params)
+            rng = np.random.default_rng(seed + 100)
+            for lin in rng.choice(mset.unmeasured_indices(), size=10, replace=False):
+                s = (int(lin) // 12, int(lin) % 12)
+                vals = exact.values + rng.normal(0.0, 5.0, exact.values.shape)
+                vals[s] += 300.0
+                recon = Reconstruction(width=12, height=12, values=vals)
+                fv = extract_features(recon, mset, s, params)
+                oracle = straight_line_features(vals, mset, s, params)
+                np.testing.assert_allclose(fv.values, oracle, rtol=1e-12, atol=1e-12)
+                moved = fv.values != extract_features(exact, mset, s, params).values
+                assert moved[[0, 1, 3]].all() and not moved[[2, 4, 5]].any()
+
     def test_measured_location_rejected(self):
         params = IdwParams(neighbors=2, window=2)
         mset, recon = random_case(8, 8, 10, 0, params)
