@@ -1,6 +1,7 @@
 """Command-line front end: train, run, eval, pretrain.
 
-Config precedence is CLI flag > config file > built-in default.  Exit codes
+main resolves every option once, before the command runs: CLI flag, else the
+--config file, else the built-in default (``resolve_options``).  Exit codes
 are stable for scripting: 0 success, 1 usage, 2 file I/O, 3 numeric failure.
 """
 
@@ -26,8 +27,8 @@ from .engine import (
 )
 from .pgm import PgmError
 from .recon import IdwParams
-from .regress import ErdModel, prediction_path
-from .regress.mlp import TrainingDivergedError
+from .regress import KINDS, ErdModel, prediction_path
+from .regress.mlp import ACTIVATIONS, TrainingDivergedError
 from .regress.modelio import ModelFormatError, load_model, save_model
 from .synth import generic_texture
 from .training import TrainingSchedule, save_training_csv, train_erd_model
@@ -96,7 +97,8 @@ def read_config_file(path) -> dict:
     return out
 
 
-# (dest, converter, default) per option that participates in config merging
+# dest: (converter, default) per option a flag or --config can set; window and
+# neighbors default to None, so they follow the model
 _OPTION_TABLE = {
     "regressor": (str, "nn"),
     "activation": (str, "relu"),
@@ -107,28 +109,35 @@ _OPTION_TABLE = {
     "budget": (float, 0.40),
     "repeats": (int, 10),
     "noise_sigma": (float, 0.0),
-    "window": (int, 15),
-    "neighbors": (int, 10),
+    "window": (int, None),
+    "neighbors": (int, None),
 }
+# keys run's effective.cfg records but no option reads, accepted so it replays as --config
+_RECORD_ONLY_KEYS = ("model", "image", "matmul")
 
 _TRAIN_DENSITIES = (0.01, 0.05, 0.10, 0.20, 0.30, 0.40)
 _CHECKPOINT_DENSITIES = (0.10, 0.20, 0.30, 0.40)
 
 
-def merge_option(args, config: dict, name: str, command_default=None):
-    """CLI value if given, else config file value, else the default."""
-    cli_value = getattr(args, name, None)
-    if cli_value is not None:
-        return cli_value
-    conv, table_default = _OPTION_TABLE[name]
-    if name in config:
-        try:
-            return conv(config[name])
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise UsageError(f"config key {name}: {exc}")
-    if command_default is not None:
-        return command_default
-    return table_default
+def resolve_options(args) -> None:
+    """Set each table option args defines and no flag set: --config value, else default.
+
+    A --config key no command takes is a usage error; a key for another
+    command's option is accepted, so one file can serve several commands.
+    """
+    config = read_config_file(args.config) if args.config else {}
+    for key in config:
+        if key not in _OPTION_TABLE and key not in _RECORD_ONLY_KEYS:
+            raise UsageError(f"{args.config}: unknown config key {key!r}")
+    for name, (conv, default) in _OPTION_TABLE.items():
+        if not hasattr(args, name) or getattr(args, name) is not None:
+            continue
+        if name in config:
+            try:
+                default = conv(config[name])
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise UsageError(f"config key {name}: {exc}")
+        setattr(args, name, default)
 
 
 def effective_config_text(pairs) -> str:
@@ -156,58 +165,51 @@ def _seconds(seconds: float) -> str:
     return f"{math.floor(seconds * 1000) / 1000:.3f}"
 
 
-def _fit_and_save(images, image_ids, args, config, out_path, pretrained, extra):
-    regressor = merge_option(args, config, "regressor")
-    if regressor not in ("lsq", "svr", "nn"):
-        raise UsageError(f"--regressor must be lsq, svr or nn, got {regressor!r}")
-    activation = merge_option(args, config, "activation")
-    if activation not in ("relu", "identity"):
-        raise UsageError(f"--activation must be relu or identity, got {activation!r}")
-    seed = merge_option(args, config, "seed")
-    window = merge_option(args, config, "window")
-    k_neighbors = merge_option(args, config, "neighbors")
-    densities = merge_option(args, config, "densities", _TRAIN_DENSITIES)
-    samples = merge_option(args, config, "samples_per_level")
-
+def _fit_and_save(images, image_ids, args, pretrained, extra):
+    if args.regressor not in KINDS:
+        raise UsageError(f"--regressor must be lsq, svr or nn, got {args.regressor!r}")
+    if args.activation not in ACTIVATIONS:
+        raise UsageError(f"--activation must be relu or identity, got {args.activation!r}")
+    params = _resolve_idw(None, args.window, args.neighbors)
     schedule = TrainingSchedule(
-        densities=densities, samples_per_level=samples, rd_window=window, seed=seed
+        densities=args.densities or _TRAIN_DENSITIES,
+        samples_per_level=args.samples_per_level,
+        rd_window=params.window,
+        seed=args.seed,
     )
-    params = IdwParams(neighbors=k_neighbors, window=window)
     t0 = time.perf_counter()
     model, db, diag = train_erd_model(
         images,
         schedule,
         params,
-        kind=regressor,
-        activation=activation,
-        seed=seed,
+        kind=args.regressor,
+        activation=args.activation,
+        seed=args.seed,
         pretrained=pretrained,
         extra=extra,
         image_ids=image_ids,
     )
     elapsed = time.perf_counter() - t0
-    save_model(model, out_path)
+    save_model(model, args.out)
     if getattr(args, "db_out", None):
         save_training_csv(db, args.db_out)
     fit_note = ", ".join(
         f"{k}={_seconds(v) if k.endswith('_s') else v}" for k, v in sorted(diag.items())
     )
-    print(f"trained kind={regressor} rows={db.n} [{fit_note}] in {_seconds(elapsed)}s")
-    print(f"wrote {out_path}")
+    print(f"trained kind={args.regressor} rows={db.n} [{fit_note}] in {_seconds(elapsed)}s")
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    config = read_config_file(args.config) if args.config else {}
     if not args.images:
         raise UsageError("at least one training image required (--images)")
     images, ids = _load_images(args.images)
     extra = {"image_sha256": [_sha256_file(p) for p in args.images]}
-    return _fit_and_save(images, ids, args, config, args.out, False, extra)
+    return _fit_and_save(images, ids, args, False, extra)
 
 
 def cmd_pretrain(args) -> int:
-    config = read_config_file(args.config) if args.config else {}
     if args.image:
         image = load_image(args.image)
         ids = [os.path.splitext(os.path.basename(args.image))[0]]
@@ -217,17 +219,7 @@ def cmd_pretrain(args) -> int:
         ids = ["generic"]
         digest = hashlib.sha256(image.values.tobytes()).hexdigest()
         extra = {"image_sha256": [digest]}
-    return _fit_and_save([image], ids, args, config, args.out, True, extra)
-
-
-def _idw_overrides(args, config):
-    """(window, neighbors) from a flag or --config; None where neither sets one."""
-    return tuple(
-        merge_option(args, config, name)
-        if getattr(args, name, None) is not None or name in config
-        else None
-        for name in ("window", "neighbors")
-    )
+    return _fit_and_save([image], ids, args, True, extra)
 
 
 def _resolve_idw(model, window, k_neighbors) -> IdwParams:
@@ -240,34 +232,27 @@ def _resolve_idw(model, window, k_neighbors) -> IdwParams:
     )
 
 
-def _run_config(args, config, model: ErdModel) -> RunConfig:
-    initial = merge_option(args, config, "initial")
-    budget = merge_option(args, config, "budget")
-    checkpoints = merge_option(args, config, "densities", _CHECKPOINT_DENSITIES)
-    seed = merge_option(args, config, "seed")
-    idw = _resolve_idw(model, *_idw_overrides(args, config))
+def _run_config(args, model: ErdModel) -> RunConfig:
     try:
         return RunConfig(
-            initial_density=initial,
-            budget_density=budget,
-            checkpoint_densities=checkpoints,
-            seed=seed,
-            idw=idw,
+            initial_density=args.initial,
+            budget_density=args.budget,
+            checkpoint_densities=args.densities or _CHECKPOINT_DENSITIES,
+            seed=args.seed,
+            idw=_resolve_idw(model, args.window, args.neighbors),
         )
     except ValueError as exc:
         raise UsageError(str(exc))
 
 
 def cmd_run(args) -> int:
-    config = read_config_file(args.config) if args.config else {}
     model = load_model(args.model)
     image = load_image(args.image)
-    noise_sigma = merge_option(args, config, "noise_sigma")
     resolve_threads()  # a malformed SLADS_THREADS is a usage error here as in eval
-    run_config = _run_config(args, config, model)
+    run_config = _run_config(args, model)
 
     os.makedirs(args.out, exist_ok=True)
-    source = SimulatedSource(image, noise_sigma=noise_sigma, seed=run_config.seed)
+    source = SimulatedSource(image, noise_sigma=args.noise_sigma, seed=run_config.seed)
     run = run_sampling(source, model, run_config, ground_truth=image)
 
     save_history_csv(run, os.path.join(args.out, "history.csv"))
@@ -279,7 +264,7 @@ def cmd_run(args) -> int:
         ("budget", run_config.budget_density),
         ("densities", ",".join(str(d) for d in run_config.checkpoint_densities)),
         ("seed", run_config.seed),
-        ("noise_sigma", noise_sigma),
+        ("noise_sigma", args.noise_sigma),
         ("window", run_config.idw.window),
         ("neighbors", run_config.idw.neighbors),
         ("matmul", prediction_path(model)),
@@ -313,7 +298,6 @@ def _eval_one(task):
 
 
 def cmd_eval(args) -> int:
-    config = read_config_file(args.config) if args.config else {}
     methods = [(os.path.splitext(os.path.basename(p))[0], p) for p in args.model or []]
     for name in args.method or []:
         if name != "random":
@@ -334,27 +318,25 @@ def cmd_eval(args) -> int:
     image = load_image(args.image)
     del image  # existence/format check only; workers reload per run
 
-    noise_sigma = merge_option(args, config, "noise_sigma")
-    repeats = merge_option(args, config, "repeats")
-    if repeats < 1:
+    if args.repeats < 1:
         raise UsageError("--repeats must be >= 1")
-    base_seed = merge_option(args, config, "seed")
     workers = resolve_threads()
-    run_config = _run_config(args, config, None)
+    run_config = _run_config(args, None)
     # reconstruction params follow each model unless flags or --config override them
-    overrides = _idw_overrides(args, config)
-    idws = {label: _resolve_idw(model, *overrides) for label, model in models.items()}
+    idws = {
+        label: _resolve_idw(model, args.window, args.neighbors) for label, model in models.items()
+    }
     image_path = os.path.abspath(args.image)
     tasks = [
         (
             label,
             path,
             image_path,
-            noise_sigma,
-            dataclasses.replace(run_config, seed=base_seed + r, idw=idws[label]),
+            args.noise_sigma,
+            dataclasses.replace(run_config, seed=args.seed + r, idw=idws[label]),
         )
         for label, path in methods
-        for r in range(repeats)
+        for r in range(args.repeats)
     ]
 
     if workers > 1 and len(tasks) > 1:
@@ -403,15 +385,15 @@ def cmd_eval(args) -> int:
         ("initial", run_config.initial_density),
         ("budget", run_config.budget_density),
         ("densities", ",".join(str(d) for d in densities)),
-        ("seed", base_seed),
-        ("repeats", repeats),
-        ("noise_sigma", noise_sigma),
+        ("seed", args.seed),
+        ("repeats", args.repeats),
+        ("noise_sigma", args.noise_sigma),
         ("window", per_method(lambda label: idws[label].window)),
         ("neighbors", per_method(lambda label: idws[label].neighbors)),
         ("matmul", per_method(matmul.__getitem__)),
     ]
     atomic_write_text(args.out + ".cfg", effective_config_text(pairs))
-    print(f"wrote {args.out} ({len(methods)} methods x {repeats} repeats)")
+    print(f"wrote {args.out} ({len(methods)} methods x {args.repeats} repeats)")
     if aborted:
         for label, seed, err in aborted:
             print(f"aborted: method={label} seed={seed}: {err}", file=sys.stderr)
@@ -474,6 +456,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        resolve_options(args)
         return args.func(args)
     except UsageError as exc:
         print(f"sparsescan: error: {exc}", file=sys.stderr)

@@ -22,10 +22,11 @@ shape, so a row's bits change with the rows around it.  Three techniques avoid t
   SVR prediction where the column tile fails its self-test) use ``einsum``,
   whose per-element reduction order depends only on the contracted length.
 
-Both tile orientations sit behind one memoised self-test per operand shape
-(``_position_invariant``): a result row, or column, must not depend on its
-position in a tile or on the other rows in it.  A shape that fails falls back
-to ``einsum``.
+Both tile orientations sit behind a memoised self-test per operand shape
+built on ``_position_invariant``: a result row, or column, must not depend on
+its position in a tile or on the other rows in it.  The row tile's test is
+here; the SVR test (``regress.svr.slab_path``) runs the slab loop itself.  A
+shape that fails falls back to ``einsum``.
 """
 
 import functools
@@ -68,30 +69,8 @@ def _blas_tiles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _blas_column_tiles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(m, k) @ (n, k).T as (n, k) @ (k, ROW_TILE) products, one per ROW_TILE rows of a.
-
-    The product SVR prediction runs: the rows of a block of a are the first
-    columns of a (k, ROW_TILE) tile whose other columns are zero, so every
-    product has one shape, and column j of a product belongs to row j of the
-    block.
-    """
-    n, k = b.shape
-    tile = np.empty((k, ROW_TILE))
-    cross = np.empty((n, ROW_TILE))
-    out = np.empty((a.shape[0], n))
-    for start in range(0, a.shape[0], ROW_TILE):
-        block = a[start : start + ROW_TILE]
-        rows = block.shape[0]
-        tile[:, :rows] = block.T
-        tile[:, rows:] = 0.0
-        np.matmul(b, tile, out=cross)
-        out[start : start + rows] = cross[:, :rows].T
-    return out
-
-
-def _position_invariant(tiles, a: np.ndarray, b: np.ndarray) -> bool:
-    """Self-test of a tiled product: tiles(a, b) has one result row per row of a.
+def _position_invariant(tiles, a: np.ndarray) -> bool:
+    """Self-test of a tiled computation: tiles(a) has one result row per row of a.
 
     a holds ROW_TILE rows.  One call of two tiles, a full tile of permuted
     rows and a padded tile of some of the same rows permuted, must give every
@@ -101,8 +80,8 @@ def _position_invariant(tiles, a: np.ndarray, b: np.ndarray) -> bool:
     part = ROW_TILE // 3
     perm = rng.permutation(ROW_TILE)
     perm_part = rng.permutation(part)
-    full = tiles(a, b)
-    got = tiles(np.concatenate([a[perm], a[perm_part]]), b)
+    full = tiles(a)
+    got = tiles(np.concatenate([a[perm], a[perm_part]]))
     return np.array_equal(got[:ROW_TILE], full[perm]) and np.array_equal(
         got[ROW_TILE:], full[perm_part]
     )
@@ -112,31 +91,14 @@ def _position_invariant(tiles, a: np.ndarray, b: np.ndarray) -> bool:
 def _tiles_row_invariant(k: int, n: int) -> bool:
     """Whether ``_blas_tiles`` is row-position invariant for (k, n) weights."""
     rng = np.random.default_rng(0)
-    return _position_invariant(
-        _blas_tiles, rng.standard_normal((ROW_TILE, k)), rng.standard_normal((k, n))
-    )
-
-
-@functools.lru_cache(maxsize=None)
-def _tiles_column_invariant(n: int, k: int) -> bool:
-    """Whether ``_blas_column_tiles`` is column-position invariant for (n, k) rows.
-
-    SVR prediction asks only for its slab shape, (ROW_TILE, features + 2).
-    """
-    rng = np.random.default_rng(0)
-    return _position_invariant(
-        _blas_column_tiles, rng.standard_normal((ROW_TILE, k)), rng.standard_normal((n, k))
-    )
+    a = rng.standard_normal((ROW_TILE, k))
+    b = rng.standard_normal((k, n))
+    return _position_invariant(lambda rows: _blas_tiles(rows, b), a)
 
 
 def matmul_path(k: int, n: int) -> str:
     """Which path ``stable_matmul`` takes for (k, n) weights."""
     return f"blas-tile{ROW_TILE}" if _tiles_row_invariant(k, n) else "einsum"
-
-
-def cross_path(n: int, k: int) -> str:
-    """Which path a column-tile product takes for (n, k) left operands."""
-    return f"blas-coltile{ROW_TILE}" if _tiles_column_invariant(n, k) else "einsum"
 
 
 def stable_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -63,7 +63,7 @@ def prediction_path(model: ErdModel) -> str:
     nn layers go through stable_matmul (``blas-tile256``, or ``einsum`` for a
     weight shape whose self-test failed); svr's kernel goes through column
     tiles of (256, features + 2) slabs (``blas-coltile256``, or ``einsum`` when
-    that shape's self-test failed); lsq always uses einsum.
+    the slab loop failed its self-test); lsq always uses einsum.
     """
     if model.kind == "nn":
         return "+".join(sorted({matmul_path(*w.shape) for w in model.payload.weights}))

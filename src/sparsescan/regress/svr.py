@@ -10,11 +10,12 @@ training and rbf_kernel keep the einsum distances of
 numerics.stable_cross_sq_dists.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..numerics import ROW_TILE, cross_path, stable_cross_sq_dists
+from ..numerics import ROW_TILE, _position_invariant, stable_cross_sq_dists
 
 _TAU = 1e-12
 
@@ -170,9 +171,27 @@ def fit_svr(
     )
 
 
+@functools.lru_cache(maxsize=None)
 def slab_path(t: int) -> str:
-    """Which product path predict_svr takes for t features."""
-    return cross_path(ROW_TILE, t + 2)
+    """Which product path predict_svr takes for t features.
+
+    The self-test runs the slab loop itself on a random model of ROW_TILE + 1
+    support vectors, so the carried sum crosses a slab edge: each query must
+    get the same bits wherever it sits among the others.
+    """
+    rng = np.random.default_rng(0)
+    model = SvrModel(
+        support_vectors=rng.standard_normal((ROW_TILE + 1, t)),
+        coefficients=rng.uniform(-1.0, 1.0, ROW_TILE + 1),
+        bias=0.0,
+        gamma=1.0 / t,
+        c=1.0,
+        epsilon=0.1,
+    )
+    queries = rng.standard_normal((ROW_TILE, t))
+    if _position_invariant(lambda rows: _predict_slabs(model, rows), queries):
+        return f"blas-coltile{ROW_TILE}"
+    return "einsum"
 
 
 def predict_svr(model: SvrModel, v: np.ndarray) -> np.ndarray:
@@ -191,14 +210,19 @@ def predict_svr(model: SvrModel, v: np.ndarray) -> np.ndarray:
     row 0 plus those rows times their coefficients.  einsum("ij,i->j") adds
     the rows in order, so carrying the sum gives each column the bits of
     one einsum over all the support vectors' rows.  Every product has one
-    shape and a query's bits depend only on its own column.  When that
-    shape fails its self-test, prediction keeps the einsum blocks, whose
-    rows do not depend on the block they are computed in.
+    shape and a query's bits depend only on its own column.  When the slab
+    loop fails its self-test (slab_path), prediction keeps the einsum
+    blocks, whose rows do not depend on the block they are computed in.
     """
-    nsv, t = model.support_vectors.shape
-    if slab_path(t) == "einsum":
+    if slab_path(model.support_vectors.shape[1]) == "einsum":
         return _predict_einsum_blocks(model, v)
+    return _predict_slabs(model, v)
+
+
+def _predict_slabs(model: SvrModel, v: np.ndarray) -> np.ndarray:
+    """predict_svr through the slab loop, the path slab_path self-tests."""
     sv = model.support_vectors
+    nsv, t = sv.shape
     gamma = model.gamma
     nslab = -(-nsv // ROW_TILE)
     left = np.zeros((nslab * ROW_TILE, t + 2))

@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 
 from sparsescan.cli import (
+    _OPTION_TABLE,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
     UsageError,
     _density_list,
+    build_parser,
     main,
     read_config_file,
     resolve_threads,
@@ -400,6 +402,41 @@ class TestRun:
             assert (a / name).read_bytes() == (b / name).read_bytes()
         capsys.readouterr()
 
+    def test_unknown_config_key_is_usage_error(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("budjet=0.3\n")
+        out = tmp_path / "runout"
+        assert run_cli(*self.run_args(workdir, out), "--config", cfg) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "budjet" in err and str(cfg) in err
+        assert not out.exists()
+        # a key for another command's option is accepted, so one file serves several
+        cfg.write_text("repeats=3\n")
+        assert run_cli(*self.run_args(workdir, out), "--config", cfg) == EXIT_OK
+        capsys.readouterr()
+
+    def test_effective_cfg_replays_the_run(self, workdir, tmp_path, capsys):
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        argv = self.run_args(workdir, first, window="7", neighbors="6")
+        assert run_cli(*argv, "--noise-sigma", "1.5") == EXIT_OK
+        rc = run_cli(
+            "run",
+            "--model",
+            workdir / "m.slnm",
+            "--image",
+            workdir / "test_img.pgm",
+            "--config",
+            first / "effective.cfg",
+            "--out",
+            replay,
+        )
+        assert rc == EXIT_OK
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in replay.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (replay / name).read_bytes(), name
+        capsys.readouterr()
+
     def test_window_flag_overrides_model(self, workdir, tmp_path, capsys):
         out = tmp_path / "runout"
         assert run_cli(*self.run_args(workdir, out, window="7", neighbors="6")) == EXIT_OK
@@ -747,6 +784,113 @@ class TestPretrain:
         want = hashlib.sha256((workdir / "train_a.pgm").read_bytes()).hexdigest()
         assert model.extra["image_sha256"] == [want]
         assert model.pretrained is True
+        capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def small_workdir(tmp_path_factory):
+    """Three 16x16 images and a small lsq model trained on the first two."""
+    root = tmp_path_factory.mktemp("small")
+    for name, seed in (("a", 0), ("b", 1), ("test", 9)):
+        save_image(root / f"{name}.pgm", blob_image(size=16, seed=seed).values)
+    rc = run_cli(
+        "train",
+        "--images",
+        root / "a.pgm",
+        root / "b.pgm",
+        "--regressor",
+        "lsq",
+        "--densities",
+        "0.1,0.3",
+        "--samples-per-level",
+        "8",
+        "--out",
+        root / "m.slnm",
+    )
+    assert rc == EXIT_OK
+    return root
+
+
+def _option_commands():
+    """(command, option) for every table option and each subcommand that takes it."""
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+    return [
+        (command, name)
+        for command, sub in subparsers.items()
+        for name in _OPTION_TABLE
+        if any(action.dest == name for action in sub._actions)
+    ]
+
+
+# flags each command gets, bar the option under test, to keep the runs small
+_BASE_FLAGS = {
+    "train": {"regressor": "lsq", "densities": "0.1,0.3", "samples_per_level": "8"},
+    "pretrain": {"regressor": "lsq", "densities": "0.1,0.3", "samples_per_level": "8"},
+    "run": {"initial": "0.05", "budget": "0.2", "densities": "0.1,0.2"},
+    "eval": {"initial": "0.05", "budget": "0.2", "densities": "0.1,0.2", "repeats": "1"},
+}
+# per option: the value under test, and another that gives other outputs
+_OPTION_VALUES = {
+    "regressor": ("svr", "lsq"),
+    "activation": ("identity", "relu"),
+    "densities": ("0.1,0.15", "0.2"),
+    "samples_per_level": ("6", "9"),
+    "seed": ("3", "5"),
+    "initial": ("0.03", "0.05"),
+    "budget": ("0.25", "0.3"),
+    "repeats": ("2", "3"),
+    "noise_sigma": ("2.0", "5.0"),
+    "window": ("3", "5"),
+    "neighbors": ("4", "6"),
+}
+
+
+class TestOptionSources:
+    def test_every_table_option_is_covered(self):
+        assert {name for _, name in _option_commands()} == set(_OPTION_TABLE)
+
+    @pytest.mark.parametrize("command, name", _option_commands())
+    def test_flag_and_config_give_the_same_outputs(
+        self, small_workdir, tmp_path, command, name, capsys
+    ):
+        root = small_workdir
+        inputs = {
+            "train": ["--images", root / "a.pgm", root / "b.pgm"],
+            "pretrain": ["--image", root / "a.pgm"],
+            "run": ["--model", root / "m.slnm", "--image", root / "test.pgm"],
+            "eval": ["--model", root / "m.slnm", "--image", root / "test.pgm", "--no-walltime"],
+        }[command]
+        base = dict(_BASE_FLAGS[command])
+        base.pop(name, None)
+        if name == "activation":
+            base["regressor"] = "nn"  # activation shapes only an nn model
+        value, other = _OPTION_VALUES[name]
+        flag = f"--{name.replace('_', '-')}"
+
+        def outputs(tag, flags=(), config=None):
+            """Every file the command writes into its own directory, by relative path."""
+            d = tmp_path / tag
+            d.mkdir()
+            written = {
+                "train": ["--out", d / "m.slnm", "--db-out", d / "db.csv"],
+                "pretrain": ["--out", d / "m.slnm"],
+                "run": ["--out", d / "run"],
+                "eval": ["--out", d / "report.csv"],
+            }[command]
+            argv = [command, *inputs, *written, *flags]
+            for key, text in base.items():
+                argv += [f"--{key.replace('_', '-')}", text]
+            if config is not None:
+                cfg = tmp_path / f"{tag}.cfg"
+                cfg.write_text(f"{name}={config}\n")
+                argv += ["--config", cfg]
+            assert run_cli(*argv) == EXIT_OK
+            return {str(p.relative_to(d)): p.read_bytes() for p in d.rglob("*") if p.is_file()}
+
+        from_flag = outputs("flag", (flag, value))
+        assert outputs("config", config=value) == from_flag
+        assert outputs("both", (flag, value), config=other) == from_flag  # the flag wins
+        assert outputs("other", (flag, other)) != from_flag  # the option takes effect
         capsys.readouterr()
 
 

@@ -17,7 +17,6 @@ import pytest
 from sparsescan import numerics
 from sparsescan.numerics import (
     ROW_TILE,
-    cross_path,
     exact_abs_sum,
     matmul_path,
     quantize_u8,
@@ -25,6 +24,7 @@ from sparsescan.numerics import (
     stable_matmul,
     stable_matvec,
 )
+from sparsescan.regress import svr
 
 
 class TestRowStability:
@@ -95,10 +95,10 @@ class TestRowStability:
 def fresh_self_test():
     """Forget memoised self-test results before and after the test."""
     numerics._tiles_row_invariant.cache_clear()
-    numerics._tiles_column_invariant.cache_clear()
+    svr.slab_path.cache_clear()
     yield
     numerics._tiles_row_invariant.cache_clear()
-    numerics._tiles_column_invariant.cache_clear()
+    svr.slab_path.cache_clear()
 
 
 def _einsum_matmul(a, b):
@@ -170,26 +170,30 @@ class TestTiledMatmul:
 
 
 class TestColumnTiles:
-    """SVR's kernel runs as (ROW_TILE, k) @ (k, ROW_TILE) column tiles behind
-    the same self-test, turned round."""
+    """SVR's kernel runs as (ROW_TILE, k) @ (k, ROW_TILE) column tiles, and
+    the same self-test, turned round, runs that slab loop itself."""
 
     def test_self_test_product_spans_a_full_and_a_padded_tile(self):
         rng = np.random.default_rng(25)
-        b = rng.standard_normal((40, 6))
-        a = rng.standard_normal((ROW_TILE + 7, 6))
-        got = numerics._blas_column_tiles(a, b)
-        assert got.shape == (ROW_TILE + 7, 40)
-        np.testing.assert_allclose(got, np.einsum("ij,kj->ik", a, b), rtol=1e-12)
+        sv = rng.standard_normal((40, 6))
+        coefficients = rng.uniform(-1.0, 1.0, 40)
+        model = svr.SvrModel(sv, coefficients, bias=0.0, gamma=1.0 / 6.0, c=1.0, epsilon=0.1)
+        q = rng.standard_normal((ROW_TILE + 7, 6))
+        got = svr._predict_slabs(model, q)
+        assert got.shape == (ROW_TILE + 7,)
+        want = np.exp(-stable_cross_sq_dists(q, sv) / 6.0) @ coefficients
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_self_test_accepts_an_invariant_product(self, fresh_self_test, monkeypatch):
-        monkeypatch.setattr(numerics, "_blas_column_tiles", lambda a, b: _einsum_matmul(a, b.T))
-        assert cross_path(ROW_TILE, 8) == f"blas-coltile{ROW_TILE}"
+        monkeypatch.setattr(svr, "_predict_slabs", svr._predict_einsum_blocks)
+        assert svr.slab_path(8) == f"blas-coltile{ROW_TILE}"
 
     def test_failed_self_test_reports_einsum(self, fresh_self_test, monkeypatch):
-        monkeypatch.setattr(
-            numerics, "_blas_column_tiles", lambda a, b: _position_dependent(a, b.T)
-        )
-        assert cross_path(ROW_TILE, 8) == "einsum"
+        def position_dependent(model, v):
+            return v.sum(axis=1) + np.arange(v.shape[0]) * 1e-9
+
+        monkeypatch.setattr(svr, "_predict_slabs", position_dependent)
+        assert svr.slab_path(8) == "einsum"
 
 
 class TestExactAbsSum:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from sparsescan import numerics
 from sparsescan.numerics import ROW_TILE, stable_cross_sq_dists
+from sparsescan.regress import svr
 from sparsescan.regress.svr import (
     SvrModel,
     auto_gamma,
@@ -133,10 +133,10 @@ def extended_precision_formula(model, q):
 
 @pytest.fixture
 def fresh_column_self_test():
-    """Forget memoised column-tile self-test results before and after the test."""
-    numerics._tiles_column_invariant.cache_clear()
+    """Forget memoised slab-loop self-test results before and after the test."""
+    slab_path.cache_clear()
     yield
-    numerics._tiles_column_invariant.cache_clear()
+    slab_path.cache_clear()
 
 
 def full_beta(model, n):
@@ -356,13 +356,13 @@ class TestPrediction:
     def test_failed_self_test_keeps_whole_batch_formula_bits(
         self, fresh_column_self_test, monkeypatch
     ):
-        # a product whose columns depend on their tile position must fail the
-        # self-test; prediction then builds einsum kernel rows ROW_TILE at a
-        # time, and the bits must be those of the whole-batch kernel
-        def position_dependent(a, b):
-            return a @ b.T + np.arange(a.shape[0])[:, None] * 1e-9
+        # a slab loop whose queries depend on their tile position must fail
+        # the self-test; prediction then builds einsum kernel rows ROW_TILE at
+        # a time, and the bits must be those of the whole-batch kernel
+        def position_dependent(model, v):
+            return whole_batch_formula(model, v) + np.arange(v.shape[0]) * 1e-9
 
-        monkeypatch.setattr(numerics, "_blas_column_tiles", position_dependent)
+        monkeypatch.setattr(svr, "_predict_slabs", position_dependent)
         V, R = toy_dataset(15)
         model = fit_svr(V, R)
         assert slab_path(V.shape[1]) == "einsum"
@@ -378,7 +378,7 @@ class TestPrediction:
             model = random_svr(nsv, seed=nsv, t=t)
             for m in (3, 300, 700):
                 predict_svr(model, rng.standard_normal((m, t)))
-        info = numerics._tiles_column_invariant.cache_info()
+        info = slab_path.cache_info()
         assert (info.misses, info.hits) == (2, 10)
 
     def test_auto_gamma_values(self):
