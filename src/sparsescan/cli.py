@@ -27,7 +27,7 @@ from .engine import (
 )
 from .pgm import PgmError
 from .recon import IdwParams
-from .regress import KINDS, ErdModel, prediction_path
+from .regress import KINDS, prediction_path
 from .regress.mlp import ACTIVATIONS, TrainingDivergedError
 from .regress.modelio import ModelFormatError, load_model, save_model
 from .synth import generic_texture
@@ -152,20 +152,13 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _load_images(paths):
-    images, ids = [], []
-    for p in paths:
-        images.append(load_image(p))
-        ids.append(os.path.splitext(os.path.basename(p))[0])
-    return images, ids
-
-
 def _seconds(seconds: float) -> str:
     """Seconds cut down to whole milliseconds, so printed parts never add up past a printed total."""
     return f"{math.floor(seconds * 1000) / 1000:.3f}"
 
 
-def _fit_and_save(images, image_ids, args, pretrained, extra):
+def _fit_and_save(args, pretrained, load_inputs):
+    """Check the options, then fit on load_inputs() = (images, ids, extra) and save."""
     if args.regressor not in KINDS:
         raise UsageError(f"--regressor must be lsq, svr or nn, got {args.regressor!r}")
     if args.activation not in ACTIVATIONS:
@@ -177,6 +170,7 @@ def _fit_and_save(images, image_ids, args, pretrained, extra):
         rd_window=params.window,
         seed=args.seed,
     )
+    images, image_ids, extra = load_inputs()
     t0 = time.perf_counter()
     model, db, diag = train_erd_model(
         images,
@@ -201,25 +195,29 @@ def _fit_and_save(images, image_ids, args, pretrained, extra):
     return EXIT_OK
 
 
+def _image_inputs(paths):
+    """The images at paths, read in order, their ids and their provenance."""
+    images = [load_image(p) for p in paths]
+    ids = [os.path.splitext(os.path.basename(p))[0] for p in paths]
+    return images, ids, {"image_sha256": [_sha256_file(p) for p in paths]}
+
+
+def _generic_inputs():
+    image = generic_texture()
+    digest = hashlib.sha256(image.values.tobytes()).hexdigest()
+    return [image], ["generic"], {"image_sha256": [digest]}
+
+
 def cmd_train(args) -> int:
     if not args.images:
         raise UsageError("at least one training image required (--images)")
-    images, ids = _load_images(args.images)
-    extra = {"image_sha256": [_sha256_file(p) for p in args.images]}
-    return _fit_and_save(images, ids, args, False, extra)
+    return _fit_and_save(args, False, lambda: _image_inputs(args.images))
 
 
 def cmd_pretrain(args) -> int:
     if args.image:
-        image = load_image(args.image)
-        ids = [os.path.splitext(os.path.basename(args.image))[0]]
-        extra = {"image_sha256": [_sha256_file(args.image)]}
-    else:
-        image = generic_texture()
-        ids = ["generic"]
-        digest = hashlib.sha256(image.values.tobytes()).hexdigest()
-        extra = {"image_sha256": [digest]}
-    return _fit_and_save([image], ids, args, True, extra)
+        return _fit_and_save(args, True, lambda: _image_inputs([args.image]))
+    return _fit_and_save(args, True, _generic_inputs)
 
 
 def _resolve_idw(model, window, k_neighbors) -> IdwParams:
@@ -232,24 +230,31 @@ def _resolve_idw(model, window, k_neighbors) -> IdwParams:
     )
 
 
-def _run_config(args, model: ErdModel) -> RunConfig:
+def _run_config(args) -> RunConfig:
+    """RunConfig from the options alone, checked before any file is read.
+
+    The command swaps in each model's IdwParams, under the same flags, once loaded.
+    """
     try:
         return RunConfig(
             initial_density=args.initial,
             budget_density=args.budget,
             checkpoint_densities=args.densities or _CHECKPOINT_DENSITIES,
             seed=args.seed,
-            idw=_resolve_idw(model, args.window, args.neighbors),
+            idw=_resolve_idw(None, args.window, args.neighbors),
         )
     except ValueError as exc:
         raise UsageError(str(exc))
 
 
 def cmd_run(args) -> int:
+    run_config = _run_config(args)
+    resolve_threads()  # a malformed SLADS_THREADS is a usage error here as in eval
     model = load_model(args.model)
     image = load_image(args.image)
-    resolve_threads()  # a malformed SLADS_THREADS is a usage error here as in eval
-    run_config = _run_config(args, model)
+    run_config = dataclasses.replace(
+        run_config, idw=_resolve_idw(model, args.window, args.neighbors)
+    )
 
     os.makedirs(args.out, exist_ok=True)
     source = SimulatedSource(image, noise_sigma=args.noise_sigma, seed=run_config.seed)
@@ -313,15 +318,14 @@ def cmd_eval(args) -> int:
             f"methods share the label(s) {', '.join(shared)} (a model's file name "
             "without extension, or 'random'); give each model a distinct file name"
         )
+    if args.repeats < 1:
+        raise UsageError("--repeats must be >= 1")
+    workers = resolve_threads()
+    run_config = _run_config(args)
     # validate every model early, before any runs are spent
     models = {label: None if path is None else load_model(path) for label, path in methods}
     image = load_image(args.image)
     del image  # existence/format check only; workers reload per run
-
-    if args.repeats < 1:
-        raise UsageError("--repeats must be >= 1")
-    workers = resolve_threads()
-    run_config = _run_config(args, None)
     # reconstruction params follow each model unless flags or --config override them
     idws = {
         label: _resolve_idw(model, args.window, args.neighbors) for label, model in models.items()

@@ -19,6 +19,7 @@ cost, not what the image does.
 """
 
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -35,10 +36,11 @@ from .core import (
     linear_index,
     location_of,
     psnr,
+    save_image,
 )
 from .features import compute_feature_matrix, measured_counts_grid, neighbour_terms
 from .numerics import row_blocks
-from .recon import IdwParams, idw_from_neighbors, window_bounds
+from .recon import IdwParams, idw_from_neighbors, save_mask, window_bounds
 from .regress import predict_batch
 
 
@@ -550,16 +552,12 @@ def save_history_csv(run: SamplingRun, path) -> None:
 
 def save_checkpoint_artifacts(run: SamplingRun, out_dir) -> list:
     """Write mask_XXX.pgm / recon_XXX.pgm per checkpoint; returns the paths."""
-    import os
-
-    from .recon import save_mask, save_reconstruction
-
     paths = []
     for cp in run.checkpoints:
         pct = _artifact_percent(cp.density)
         mask_path = os.path.join(out_dir, f"mask_{pct:03d}.pgm")
         recon_path = os.path.join(out_dir, f"recon_{pct:03d}.pgm")
         save_mask(mask_path, cp.mask)
-        save_reconstruction(recon_path, cp.reconstruction)
+        save_image(recon_path, cp.reconstruction.values)
         paths.extend([mask_path, recon_path])
     return paths

@@ -3,10 +3,10 @@
 Neighbors are ordered by (squared distance, linear index) ascending, so any
 distance tie resolves to the lower row-major index.  Both are integers, so
 the pair packs losslessly into one int64 composite key: d2 * N + index.
-There are three search paths: brute force against a small measured set,
-a KD-tree searched once per 4x4 tile of queries, and incremental insertion.
-All three produce identical composites, which is what makes reconstruction
-and scoring results independent of how the neighbor sets were obtained.
+There are two search paths: a KD-tree searched once per 4x4 tile of queries,
+and incremental insertion.  Both produce identical composites, which is what
+makes reconstruction and scoring results independent of how the neighbor
+sets were obtained.
 """
 
 import itertools
@@ -18,11 +18,6 @@ from . import numerics
 
 # larger than any real composite for images up to ~46000x46000
 SENTINEL = np.int64(2**62)
-
-# Measured sets of at most count + _BRUTE_FORCE_PAD pixels are searched
-# exhaustively: at 41 measured pixels on 64x64 that takes 3-4 ms against
-# 7-11 ms for building and querying a tree.
-_BRUTE_FORCE_PAD = 32
 
 # Tree searches answer the queries of one _TILE x _TILE pixel tile together.
 # Every pixel of a tile lies within _TILE_HALF_DIAGONAL of its centre.
@@ -49,20 +44,6 @@ def decode(comp: np.ndarray, n: int):
     safe = np.where(valid, comp, np.int64(n))
     d2 = safe // n
     return d2, safe - d2 * n, valid
-
-
-def _exhaustive(qr, qc, mr, mc, measured_indices, n: int, count: int) -> np.ndarray:
-    """Composites of the `count` nearest pixels of the whole measured set, per query.
-
-    Slots past the size of the measured set hold SENTINEL.
-    """
-    d2 = (qr[:, None] - mr[None, :]) ** 2 + (qc[:, None] - mc[None, :]) ** 2
-    cand = d2 * n + measured_indices[None, :]
-    cand.sort(axis=1)
-    out = np.full((qr.size, count), SENTINEL, dtype=np.int64)
-    take = min(count, cand.shape[1])
-    out[:, :take] = cand[:, :take]
-    return out
 
 
 def _tile_lists(tree, qr, qc, mr, mc, measured_indices, width, n, count, out) -> None:
@@ -143,10 +124,9 @@ def knn_measured(
 
     Returns an (m, count) int64 array sorted ascending per row, padded with
     SENTINEL when fewer than `count` pixels are measured.  Queries are
-    answered ROW_BLOCK at a time, so temporaries stay bounded: exhaustively
-    against a small measured set, otherwise against one tree, searched once
-    per tile of the block.  Every list is exact, so the result does not
-    depend on the block size or on the grouping.
+    answered ROW_BLOCK at a time against one tree, searched once per tile of
+    the block, so temporaries stay bounded.  Every list is exact, so the
+    result does not depend on the block size or on the grouping.
     """
     measured_indices = np.asarray(measured_indices, dtype=np.int64)
     query_indices = np.asarray(query_indices, dtype=np.int64)
@@ -156,15 +136,12 @@ def knn_measured(
         raise ValueError("at least one measured pixel required")
     mr, mc = np.divmod(measured_indices, width)
     out = np.empty((query_indices.size, count), dtype=np.int64)
-    brute = k <= count + _BRUTE_FORCE_PAD
-    if not brute:
-        tree = cKDTree(np.column_stack([mr, mc]).astype(np.float64))
+    take = min(count, k)
+    out[:, take:] = SENTINEL
+    tree = cKDTree(np.column_stack([mr, mc]).astype(np.float64))
     for block in numerics.row_blocks(query_indices.size):
         qr, qc = np.divmod(query_indices[block], width)
-        if brute:
-            out[block] = _exhaustive(qr, qc, mr, mc, measured_indices, n, count)
-        else:
-            _tile_lists(tree, qr, qc, mr, mc, measured_indices, width, n, count, out[block])
+        _tile_lists(tree, qr, qc, mr, mc, measured_indices, width, n, take, out[block, :take])
     return out
 
 

@@ -16,7 +16,7 @@ from .core import (
     linear_index,
     location_of,
 )
-from .numerics import quantize_u8, row_blocks
+from .numerics import row_blocks
 from . import pgm
 
 
@@ -106,11 +106,6 @@ def window_bounds(loc, width: int, height: int, halfwidth: int):
     c0 = max(loc[1] - halfwidth, 0)
     c1 = min(loc[1] + halfwidth, width - 1)
     return r0, r1, c0, c1
-
-
-def save_reconstruction(path, recon: Reconstruction) -> None:
-    """Export a reconstruction as P5, quantizing half-away-from-zero."""
-    pgm.write_pgm(path, quantize_u8(recon.values))
 
 
 def save_mask(path, mask: np.ndarray) -> None:

@@ -894,6 +894,48 @@ class TestOptionSources:
         capsys.readouterr()
 
 
+# (command, option, bad value): each bad value is a usage error, which must be
+# reported before the command's missing input file is
+_BAD_OPTIONS = [
+    ("train", "regressor", "forest"),
+    ("train", "samples_per_level", "0"),
+    ("pretrain", "activation", "tanh"),
+    ("eval", "repeats", "0"),
+    ("eval", "budget", "2"),
+    ("run", "budget", "2"),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "command, name, value", _BAD_OPTIONS, ids=[f"{c}-{n}" for c, n, _ in _BAD_OPTIONS]
+)
+def test_bad_option_is_reported_before_a_missing_file(
+    tmp_path, command, name, value, source, capsys
+):
+    absent_image, absent_model = tmp_path / "absent.pgm", tmp_path / "absent.slnm"
+    argv = [
+        command,
+        *{
+            "train": ["--images", absent_image, "--out", tmp_path / "m.slnm"],
+            "pretrain": ["--image", absent_image, "--out", tmp_path / "m.slnm"],
+            "run": ["--model", absent_model, "--image", absent_image, "--out", tmp_path / "run"],
+            "eval": ["--model", absent_model, "--image", absent_image, "--out", tmp_path / "r.csv"],
+        }[command],
+    ]
+    assert run_cli(*argv) == EXIT_IO  # valid options: the missing file is the error
+    assert "file error" in capsys.readouterr().err
+    if source == "flag":
+        argv += [f"--{name.replace('_', '-')}", value]
+    else:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{name}={value}\n")
+        argv += ["--config", cfg]
+    assert run_cli(*argv) == EXIT_USAGE
+    assert "file error" not in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["bad.cfg"] if source == "config" else [])
+
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 

@@ -15,6 +15,7 @@ from sparsescan.core import (
     PixelLocation,
     Reconstruction,
     psnr,
+    save_image,
 )
 from sparsescan.engine import (
     ReconState,
@@ -29,7 +30,7 @@ from sparsescan.engine import (
     select_next,
 )
 from sparsescan.features import FeatureStats, extract_features, neighbour_terms
-from sparsescan.recon import IdwParams, reconstruct, save_reconstruction
+from sparsescan.recon import IdwParams, reconstruct
 from sparsescan.regress import ErdModel, LinearModel, MlpModel, fit_svr, predict_batch
 from sparsescan.regress.mlp import init_params
 from sparsescan.synth import blob_image
@@ -524,7 +525,7 @@ class TestRunSampling:
             want = reconstruct(mset, params)
             assert recon.values.tobytes() == want.values.tobytes(), f"step {step}"
             if artifact:
-                save_reconstruction(tmp_path / "want.pgm", want)
+                save_image(tmp_path / "want.pgm", want.values)
                 got = (tmp_path / artifact).read_bytes()
                 assert got == (tmp_path / "want.pgm").read_bytes(), artifact
 
@@ -770,7 +771,7 @@ class TestBlockSize:
         image = self.image()
         h, w = self.SHAPE
         out = {}
-        for name, count in (("tree", 85), ("brute", 30)):
+        for name, count in (("85 seeds", 85), ("30 seeds", 30)):
             mset = seeded_mask(image, count, seed=5)
             comp = neighbors.knn_measured(
                 mset.unmeasured_indices(), mset.measured_indices(), w, h, PARAMS.neighbors

@@ -65,7 +65,8 @@ class TestNeighborSearch:
         # 1105 = 4^2+33^2 = 9^2+32^2 = 12^2+31^2 = 23^2+24^2: 32 lattice points
         # share d2 = 1105 around the centre, so the tie group at the 10th
         # distance is wider than count; 20 points on the top row are farther
-        # and force the tree.  (40, 40) and (43, 43) are opposite corner
+        # and take the set past count + 32, where a brute-force sort once
+        # handed over to the tree.  (40, 40) and (43, 43) are opposite corner
         # pixels of a 4x4 tile, as far from its centre as a pixel gets, and
         # (42, 41) lies inside one.
         size, count = 80, 10
@@ -81,7 +82,7 @@ class TestNeighborSearch:
             ring = [(row + dr) * size + col + dc for dr, dc in offsets]
             far = list(range(0, 80, 4))
             measured = np.array(sorted(ring + far), dtype=np.int64)
-            assert measured.size > count + neighbors._BRUTE_FORCE_PAD
+            assert measured.size > count + 32
             mask = np.zeros(size * size, dtype=bool)
             mask[measured] = True
             queries = np.flatnonzero(~mask)
@@ -131,14 +132,17 @@ class TestNeighborSearch:
         grid = np.zeros((height, width), dtype=bool)
         grid[rows, cols] = True
         measured = np.flatnonzero(grid)
-        assert measured.size > 10 + neighbors._BRUTE_FORCE_PAD  # the tree path
+        assert measured.size > 10 + 32  # past the old brute-force cut-over
         queries = np.arange(width * height)
         self.assert_every_row_canonical(queries, measured, width, height, 10)
 
-    @pytest.mark.parametrize("extra", [-1, 0, 1, 2])
+    # measured sets below, at and above count, and around count + 32 = 42,
+    # where a brute-force sort once handed over to the tree; extra is the
+    # offset from 42
+    @pytest.mark.parametrize("extra", [-41, -40, -33, -32, -31, -1, 0, 1, 2])
     def test_both_sides_of_the_brute_force_cut_over(self, extra):
         count = 10
-        k = count + neighbors._BRUTE_FORCE_PAD + extra
+        k = count + 32 + extra
         mset = random_mset(40, 30, k, seed=k)
         self.assert_every_row_canonical(
             mset.unmeasured_indices(), mset.measured_indices(), 40, 30, count
@@ -150,7 +154,7 @@ class TestNeighborSearch:
         grid = np.zeros((height, width), dtype=bool)
         grid[::step, ::step] = True
         measured = np.flatnonzero(grid)
-        assert measured.size > 10 + neighbors._BRUTE_FORCE_PAD  # the tree path
+        assert measured.size > 10 + 32  # past the old brute-force cut-over
         queries = np.flatnonzero(~grid.ravel())
         self.assert_every_row_canonical(queries, measured, width, height, 10)
 
