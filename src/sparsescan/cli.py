@@ -1,8 +1,11 @@
 """Command-line front end: train, run, eval, pretrain.
 
-main resolves every option once, before the command runs: CLI flag, else the
---config file, else the built-in default (``resolve_options``).  Exit codes
-are stable for scripting: 0 success, 1 usage, 2 file I/O, 3 numeric failure.
+One table (``_OPTION_TABLE``) declares each option a flag or --config can set:
+its converter, its default and the subcommands that take it; build_parser adds
+the flags from it.  main resolves every option once, before the command runs:
+CLI flag, else the --config file, else the built-in default
+(``resolve_options``).  Exit codes are stable for scripting: 0 success,
+1 usage, 2 file I/O, 3 numeric failure.
 """
 
 import argparse
@@ -97,20 +100,22 @@ def read_config_file(path) -> dict:
     return out
 
 
-# dest: (converter, default) per option a flag or --config can set; window and
-# neighbors default to None, so they follow the model
+# dest: (converter, default, subcommands); the flag is --dest with dashes.
+# window and neighbors default to None, so they follow the model
+_FIT = ("train", "pretrain")
+_SAMPLE = ("run", "eval")
 _OPTION_TABLE = {
-    "regressor": (str, "nn"),
-    "activation": (str, "relu"),
-    "densities": (_density_list, None),  # per-command default below
-    "samples_per_level": (int, 500),
-    "seed": (int, 0),
-    "initial": (float, 0.01),
-    "budget": (float, 0.40),
-    "repeats": (int, 10),
-    "noise_sigma": (float, 0.0),
-    "window": (int, None),
-    "neighbors": (int, None),
+    "regressor": (str, "nn", _FIT),
+    "activation": (str, "relu", _FIT),
+    "densities": (_density_list, None, _FIT + _SAMPLE),  # per-command default below
+    "samples_per_level": (int, 500, _FIT),
+    "seed": (int, 0, _FIT + _SAMPLE),
+    "initial": (float, 0.01, _SAMPLE),
+    "budget": (float, 0.40, _SAMPLE),
+    "repeats": (int, 10, ("eval",)),
+    "noise_sigma": (float, 0.0, _SAMPLE),
+    "window": (int, None, _FIT + _SAMPLE),
+    "neighbors": (int, None, _FIT + _SAMPLE),
 }
 # keys run's effective.cfg records but no option reads, accepted so it replays as --config
 _RECORD_ONLY_KEYS = ("model", "image", "matmul")
@@ -129,7 +134,7 @@ def resolve_options(args) -> None:
     for key in config:
         if key not in _OPTION_TABLE and key not in _RECORD_ONLY_KEYS:
             raise UsageError(f"{args.config}: unknown config key {key!r}")
-    for name, (conv, default) in _OPTION_TABLE.items():
+    for name, (conv, default, _) in _OPTION_TABLE.items():
         if not hasattr(args, name) or getattr(args, name) is not None:
             continue
         if name in config:
@@ -157,6 +162,12 @@ def _seconds(seconds: float) -> str:
     return f"{math.floor(seconds * 1000) / 1000:.3f}"
 
 
+def _make_parent_dirs(*paths) -> None:
+    """Create each given output path's directory, as run does its --out, before the work."""
+    for path in filter(None, paths):
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+
+
 def _fit_and_save(args, pretrained, load_inputs):
     """Check the options, then fit on load_inputs() = (images, ids, extra) and save."""
     if args.regressor not in KINDS:
@@ -171,6 +182,7 @@ def _fit_and_save(args, pretrained, load_inputs):
         seed=args.seed,
     )
     images, image_ids, extra = load_inputs()
+    _make_parent_dirs(args.out, getattr(args, "db_out", None))
     t0 = time.perf_counter()
     model, db, diag = train_erd_model(
         images,
@@ -326,6 +338,7 @@ def cmd_eval(args) -> int:
     models = {label: None if path is None else load_model(path) for label, path in methods}
     image = load_image(args.image)
     del image  # existence/format check only; workers reload per run
+    _make_parent_dirs(args.out)
     # reconstruction params follow each model unless flags or --config override them
     idws = {
         label: _resolve_idw(model, args.window, args.neighbors) for label, model in models.items()
@@ -431,24 +444,14 @@ def build_parser() -> _Parser:
     ev.add_argument("--method", action="append", default=None, metavar="NAME")
     ev.add_argument("--image", required=True, metavar="PGM")
     ev.add_argument("--out", required=True, metavar="CSV")
-    ev.add_argument("--repeats", type=int, default=None)
     ev.add_argument("--no-walltime", action="store_true", dest="no_walltime")
     ev.set_defaults(func=cmd_eval)
 
-    for p in (train, pre):
-        p.add_argument("--regressor", default=None, metavar="{lsq,svr,nn}")
-        p.add_argument("--activation", default=None, metavar="{relu,identity}")
-        p.add_argument("--densities", type=_density_list, default=None)
-        p.add_argument("--samples-per-level", type=int, default=None, dest="samples_per_level")
-    for p in (run, ev):
-        p.add_argument("--initial", type=float, default=None)
-        p.add_argument("--budget", type=float, default=None)
-        p.add_argument("--densities", type=_density_list, default=None)
-        p.add_argument("--noise-sigma", type=float, default=None, dest="noise_sigma")
-    for p in (train, pre, run, ev):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--window", type=int, default=None)
-        p.add_argument("--neighbors", type=int, default=None)
+    for name, (conv, _, commands) in _OPTION_TABLE.items():
+        flag = f"--{name.replace('_', '-')}"
+        for command in commands:
+            sub.choices[command].add_argument(flag, type=conv, default=None)
+    for p in sub.choices.values():
         p.add_argument("--config", default=None, metavar="FILE")
     return parser
 

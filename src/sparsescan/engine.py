@@ -219,9 +219,6 @@ class ReconState:
     """
 
     def __init__(self, mset: MeasurementSet, params: IdwParams):
-        neighbors.check_grid_capacity(mset.width, mset.height)
-        if mset.k == 0:
-            raise ValueError("measurement set is empty")
         self.mset = mset
         self.params = params
         self.width = mset.width
@@ -413,12 +410,9 @@ def select_next(model, recon: Reconstruction, mset: MeasurementSet, workers: int
     """
     if (recon.width, recon.height) != (mset.width, mset.height):
         raise ValueError("reconstruction and measurement set dimensions differ")
-    if mset.k < 1:
-        raise ValueError("at least one measurement required")
     if mset.k == mset.width * mset.height:
         raise ValueError("image fully measured")
     w, h, params = mset.width, mset.height, model.idw
-    neighbors.check_grid_capacity(w, h)
     pixels = mset.unmeasured_indices()
     comp = neighbors.knn_measured(pixels, mset.measured_indices(), w, h, params.neighbors)
     values = mset.value_grid().ravel()
@@ -448,37 +442,6 @@ def _query(source, loc, step: int) -> float:
     return value
 
 
-class _CheckpointTracker:
-    def __init__(self, config: RunConfig, n: int, ground_truth):
-        self.thresholds = [(d, math.ceil(d * n)) for d in config.checkpoint_densities]
-        self.next_idx = 0
-        self.truth = ground_truth
-        self.out = []
-
-    def poll(self, state: ReconState, elapsed_s: float) -> None:
-        k = state.mset.k
-        while self.next_idx < len(self.thresholds) and k >= self.thresholds[self.next_idx][1]:
-            density, _ = self.thresholds[self.next_idx]
-            recon = state.reconstruction()
-            if self.truth is not None:
-                p = psnr(self.truth.values, recon.values)
-                d = distortion(self.truth.values, recon.values)
-            else:
-                p, d = float("nan"), float("nan")
-            self.out.append(
-                Checkpoint(
-                    density=density,
-                    step=k,
-                    reconstruction=recon,
-                    mask=state.mset.mask.copy(),
-                    psnr_db=p,
-                    distortion=d,
-                    elapsed_s=elapsed_s,
-                )
-            )
-            self.next_idx += 1
-
-
 def _sample(source, config: RunConfig, ground_truth, policy) -> SamplingRun:
     """Seed uniformly, then measure the policy's choices until the budget.
 
@@ -502,8 +465,23 @@ def _sample(source, config: RunConfig, ground_truth, policy) -> SamplingRun:
         history.append(HistoryEntry(mset.k, loc, value, float("nan")))
     state = ReconState(mset, config.idw)
     chooser = policy(state, rng)
-    tracker = _CheckpointTracker(config, n, ground_truth)
-    tracker.poll(state, 0.0)
+    pending = [(d, math.ceil(d * n)) for d in config.checkpoint_densities]
+    checkpoints = []
+
+    def poll(elapsed_s):
+        """Take a Checkpoint for each pending density the measured count has reached."""
+        while pending and mset.k >= pending[0][1]:
+            recon = state.reconstruction()
+            p = d = float("nan")
+            if ground_truth is not None:
+                p = psnr(ground_truth.values, recon.values)
+                d = distortion(ground_truth.values, recon.values)
+            density, _ = pending.pop(0)
+            checkpoints.append(
+                Checkpoint(density, mset.k, recon, mset.mask.copy(), p, d, elapsed_s)
+            )
+
+    poll(0.0)
 
     t0 = time.perf_counter()
     while mset.k < budget_k:
@@ -511,14 +489,14 @@ def _sample(source, config: RunConfig, ground_truth, policy) -> SamplingRun:
         value = _query(source, loc, mset.k + 1)
         chooser.measured(loc, state.measure(loc, value))
         history.append(HistoryEntry(mset.k, loc, value, erd))
-        tracker.poll(state, time.perf_counter() - t0)
+        poll(time.perf_counter() - t0)
     wall = time.perf_counter() - t0
     return SamplingRun(
         config=config,
         width=state.width,
         height=state.height,
         history=history,
-        checkpoints=tracker.out,
+        checkpoints=checkpoints,
         final_reconstruction=state.reconstruction(),
         final_mask=mset.mask.copy(),
         wall_time_s=wall,

@@ -171,8 +171,6 @@ def extract_features(
         raise ValueError(f"{s} outside {mset.width}x{mset.height} grid")
     if mset.mask[s.row, s.col]:
         raise ValueError(f"{s} is already measured")
-    if mset.k == 0:
-        raise ValueError("measurement set is empty")
 
     lin = np.array([linear_index(s, mset.width)], dtype=np.int64)
     comp = neighbors.knn_measured(

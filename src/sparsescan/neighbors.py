@@ -6,7 +6,9 @@ the pair packs losslessly into one int64 composite key: d2 * N + index.
 There are two search paths: a KD-tree searched once per 4x4 tile of queries,
 and incremental insertion.  Both produce identical composites, which is what
 makes reconstruction and scoring results independent of how the neighbor
-sets were obtained.
+sets were obtained.  knn_measured, the from-scratch build every other list
+starts from, checks both of its preconditions (a non-empty measured set and a
+grid whose composites fit) itself.
 """
 
 import itertools
@@ -16,7 +18,7 @@ from scipy.spatial import cKDTree
 
 from . import numerics
 
-# larger than any real composite for images up to ~46000x46000
+# larger than any composite of a grid check_grid_capacity accepts (38968x38968 at most)
 SENTINEL = np.int64(2**62)
 
 # Tree searches answer the queries of one _TILE x _TILE pixel tile together.
@@ -127,7 +129,12 @@ def knn_measured(
     answered ROW_BLOCK at a time against one tree, searched once per tile of
     the block, so temporaries stay bounded.  Every list is exact, so the
     result does not depend on the block size or on the grouping.
+
+    A build needs at least one measured pixel and a grid whose composites
+    fit below SENTINEL; either failing raises ValueError, so callers need
+    not check them.
     """
+    check_grid_capacity(width, height)
     measured_indices = np.asarray(measured_indices, dtype=np.int64)
     query_indices = np.asarray(query_indices, dtype=np.int64)
     k = measured_indices.size

@@ -58,8 +58,6 @@ def nearest_measured(mset: MeasurementSet, loc, count: int):
     pixel returns itself first at distance zero.  Fewer than `count` entries
     come back when the set is smaller than that.
     """
-    if mset.k == 0:
-        raise ValueError("measurement set is empty")
     if not (0 <= loc[0] < mset.height and 0 <= loc[1] < mset.width):
         raise ValueError(f"{tuple(loc)} outside {mset.width}x{mset.height} grid")
     n = mset.width * mset.height
@@ -82,9 +80,6 @@ def reconstruct(mset: MeasurementSet, params: IdwParams) -> Reconstruction:
     The estimates are made ROW_BLOCK pixels at a time; each row is computed
     on its own, so the result does not depend on the block size.
     """
-    if mset.k == 0:
-        raise ValueError("cannot reconstruct from an empty measurement set")
-    neighbors.check_grid_capacity(mset.width, mset.height)
     out = mset.value_grid().copy()
     unmeas = mset.unmeasured_indices()
     if unmeas.size:

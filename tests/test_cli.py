@@ -266,6 +266,28 @@ class TestTrain:
         assert lines[1].startswith("train_a,")
         capsys.readouterr()
 
+    def test_outputs_in_missing_directories_are_created(self, workdir, tmp_path, capsys):
+        out, db = tmp_path / "models" / "m.slnm", tmp_path / "rows" / "deep" / "db.csv"
+        rc = run_cli(
+            "train",
+            "--images",
+            workdir / "train_a.pgm",
+            "--regressor",
+            "lsq",
+            "--densities",
+            "0.2",
+            "--samples-per-level",
+            "10",
+            "--out",
+            out,
+            "--db-out",
+            db,
+        )
+        assert rc == EXIT_OK
+        assert load_model(out).kind == "lsq"
+        assert len(db.read_text().splitlines()) == 1 + 10
+        capsys.readouterr()
+
     def test_bad_choices_are_usage_errors(self, workdir, tmp_path, capsys):
         base = ["train", "--images", workdir / "train_a.pgm", "--out", tmp_path / "x.slnm"]
         assert run_cli(*base, "--regressor", "forest") == EXIT_USAGE
@@ -549,6 +571,13 @@ class TestEval:
         assert side["neighbors"] == "m:10;random:10"
         assert side["matmul"] == "m:einsum;random:none"
         assert side["repeats"] == "2"
+
+    def test_report_in_a_missing_directory_is_created(self, workdir, tmp_path, capsys):
+        out = tmp_path / "reports" / "deep" / "report.csv"
+        assert run_cli(*self.eval_args(workdir, out)) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 1 + 2 * 2
+        assert "methods=m;random" in (out.parent / "report.csv.cfg").read_text()
+        capsys.readouterr()
 
     def test_sidecar_reports_each_method_s_path(self, workdir, tmp_path, capsys):
         save_model(small_svr_model(), tmp_path / "svr.slnm")

@@ -8,13 +8,23 @@ import numpy as np
 import pytest
 
 from sparsescan import neighbors
-from sparsescan.core import GroundTruthImage, MeasurementSet, PixelLocation, distortion
+from sparsescan.core import (
+    GroundTruthImage,
+    MeasurementSet,
+    PixelLocation,
+    Reconstruction,
+    distortion,
+)
+from sparsescan.engine import ReconState, select_next
+from sparsescan.features import FeatureStats, extract_features
 from sparsescan.recon import (
     IdwParams,
     idw_from_neighbors,
     nearest_measured,
     reconstruct,
 )
+from sparsescan.regress import ErdModel, LinearModel
+from sparsescan.training import RdEvaluator
 
 
 def brute_force_knn(query_lin, measured, width, count):
@@ -180,6 +190,45 @@ class TestNeighborSearch:
             measured2 = np.sort(np.append(mset.measured_indices(), new_lin))
             rebuilt = neighbors.knn_measured(queries, measured2, width, height, 8)
             assert np.array_equal(comp[active], rebuilt[active])
+
+
+# every caller of a from-scratch neighbour build, run against mset with pixel
+# (0, 1) unmeasured
+_BUILDERS = {
+    "reconstruct": lambda mset, recon, model: reconstruct(mset, model.idw),
+    "ReconState": lambda mset, recon, model: ReconState(mset, model.idw),
+    "select_next": lambda mset, recon, model: select_next(model, recon, mset),
+    "extract_features": lambda mset, recon, model: extract_features(
+        recon, mset, (0, 1), model.idw
+    ),
+    "nearest_measured": lambda mset, recon, model: nearest_measured(mset, (0, 1), 10),
+    "RdEvaluator": lambda mset, recon, model: RdEvaluator(
+        GroundTruthImage.from_array(recon.values), mset, model.idw
+    ),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(_BUILDERS))
+@pytest.mark.parametrize(
+    "width, measured, message",
+    [
+        (16, (), "at least one measured pixel"),
+        # composites overflow: a 1xN grid fails from N = 1,321,124
+        (1_400_000, ((0, 0),), "too large for composite keys"),
+    ],
+    ids=["empty", "grid-too-large"],
+)
+def test_every_neighbour_build_checks_its_preconditions(builder, width, measured, message):
+    mset = MeasurementSet(width=width, height=1, entries=[(loc, 7.0) for loc in measured])
+    recon = Reconstruction(width=width, height=1, values=np.zeros((1, width)))
+    model = ErdModel(
+        kind="lsq",
+        payload=LinearModel(theta=np.zeros(6)),
+        stats=FeatureStats(means=np.zeros(6), stds=np.ones(6)),
+        idw=IdwParams(),
+    )
+    with pytest.raises(ValueError, match=message):
+        _BUILDERS[builder](mset, recon, model)
 
 
 class TestNearestMeasured:
