@@ -30,8 +30,6 @@ from .training import (
     TrainingDatabase,
     TrainingSchedule,
     generate_training_db,
-    rd_exact,
-    rd_windowed,
     train_erd_model,
 )
 from .engine import (

@@ -152,28 +152,16 @@ class SamplingRun:
         return len(self.history)
 
 
-def _score(model, pixels: np.ndarray, features, scores: np.ndarray, step: int, workers: int = 1):
+def _score(model, pixels: np.ndarray, features, scores: np.ndarray, step: int):
     """Write the predicted ERD of pixels into scores, ROW_BLOCK pixels at a time.
 
-    features(block) gives the descriptor rows of pixels[block].  The blocks
-    run serially or, given more than one worker, on a thread pool; prediction
-    is row-stable, so the scores are the same either way.  A non-finite
+    features(block) gives the descriptor rows of pixels[block].  Prediction
+    is row-stable, so the scores do not depend on the blocks.  A non-finite
     prediction cannot be ranked: it raises FloatingPointError naming the step
     the scores choose.
     """
-
-    def score(block):
+    for block in row_blocks(pixels.size):
         scores[pixels[block]] = predict_batch(model, features(block))
-
-    blocks = row_blocks(pixels.size)
-    if workers <= 1:
-        for block in blocks:
-            score(block)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(score, blocks))
     bad = int(np.count_nonzero(~np.isfinite(scores[pixels])))
     if bad:
         raise FloatingPointError(
@@ -200,9 +188,10 @@ class ReconState:
     recon_flat is the reconstruction: the measured value at every measured
     pixel and the IDW estimate of its current neighbour list at every other
     one.  Measured values never change, so an estimate changes only with its
-    list: a measurement writes its value and re-estimates the pixels whose
-    lists changed, wherever they lie, and recon_flat stays equal to
-    reconstruct(mset), bit for bit.
+    list: splice re-estimates the pixels whose lists a new measurement would
+    change, wherever they lie, and measure writes them and the value, so
+    recon_flat stays equal to reconstruct(mset), bit for bit.  An RD trial
+    sums what splice returns and writes nothing.
 
     terms holds each unmeasured pixel's neighbour_terms against its
     estimate.  Both are fixed by the list, so they are written together, and
@@ -234,20 +223,21 @@ class ReconState:
         self.terms = np.zeros((self.n, 3))
         for block in row_blocks(unmeasured.size):
             rows = unmeasured[block]
-            self._refresh(rows, self.comp[rows])
+            comp = self.comp[rows]
+            estimates = idw_from_neighbors(comp, self.n, self.recon_flat, params.power)
+            self._refresh(rows, comp, estimates)
         self.cnt = measured_counts_grid(mset.mask, params.window)
         self.reach = np.full(self.height, -1, dtype=np.int64)
         self._update_reach(np.arange(self.height))
 
-    def _refresh(self, pixels: np.ndarray, comp: np.ndarray) -> None:
-        """Re-estimate pixels and recompute their terms from their neighbour composites.
+    def _refresh(self, pixels: np.ndarray, comp: np.ndarray, estimates: np.ndarray) -> None:
+        """Write pixels' estimates and recompute their terms from their neighbour composites.
 
         An estimate reads only measured values, and the terms only those and
         the pixel's new estimate, so pixels can be refreshed in any grouping.
         """
-        flat = self.recon_flat
-        flat[pixels] = idw_from_neighbors(comp, self.n, flat, self.params.power)
-        self.terms[pixels] = neighbour_terms(comp, self.n, flat, flat[pixels])
+        self.recon_flat[pixels] = estimates
+        self.terms[pixels] = neighbour_terms(comp, self.n, self.recon_flat, estimates)
 
     def _update_reach(self, rows: np.ndarray) -> None:
         last = self.comp[:, -1].reshape(self.height, self.width)[rows]
@@ -299,6 +289,23 @@ class ReconState:
             self.params,
         )
 
+    def splice(self, lin: int, value: float, pixels: np.ndarray):
+        """What measuring value at lin would change among pixels; the state is kept.
+
+        Returns (changed, comp, estimates): the positions in pixels (linear
+        indices) of the active lists lin would enter, those lists with lin
+        spliced in, and their IDW estimates with value at lin.
+        """
+        comp = self.comp.take(pixels, axis=0)
+        active = self.active[pixels] & (pixels != lin)
+        changed = neighbors.insert_measurement(comp, pixels, lin, self.width, self.height, active)
+        comp = comp[changed]
+        old = self.recon_flat[lin]
+        self.recon_flat[lin] = value
+        estimates = idw_from_neighbors(comp, self.n, self.recon_flat, self.params.power)
+        self.recon_flat[lin] = old
+        return changed, comp, estimates
+
     def measure(self, loc, value: float) -> np.ndarray:
         """Add a measurement; returns the pixels whose neighbour lists changed."""
         lin = self.row(loc)
@@ -310,14 +317,10 @@ class ReconState:
         self.cnt[r0 : r1 + 1, c0 : c1 + 1] += 1
 
         reachable = self._reachable(lin)
-        comp = self.comp.take(reachable, axis=0)
-        changed = neighbors.insert_measurement(
-            comp, reachable, lin, self.width, self.height, self.active[reachable]
-        )
+        changed, comp, estimates = self.splice(lin, value, reachable)
         affected = reachable[changed]
-        comp = comp[changed]
         self.comp[affected] = comp
-        self._refresh(affected, comp)
+        self._refresh(affected, comp, estimates)
         self._update_reach(np.append(_distinct(affected // self.width), lin // self.width))
         return affected
 
@@ -399,14 +402,13 @@ class _Random:
         pass
 
 
-def select_next(model, recon: Reconstruction, mset: MeasurementSet, workers: int = 1):
+def select_next(model, recon: Reconstruction, mset: MeasurementSet):
     """Highest predicted-ERD unmeasured pixel against the given reconstruction.
 
     Returns (PixelLocation, predicted_erd); ties break to the lowest linear
     index.  Scores every unmeasured pixel from scratch: one neighbour search
     and one window count of mset, then descriptor rows read from recon, scored
-    by _score, serially or on a pool of workers threads.  A non-finite
-    prediction raises FloatingPointError.
+    by _score.  A non-finite prediction raises FloatingPointError.
     """
     if (recon.width, recon.height) != (mset.width, mset.height):
         raise ValueError("reconstruction and measurement set dimensions differ")
@@ -425,7 +427,7 @@ def select_next(model, recon: Reconstruction, mset: MeasurementSet, workers: int
         return compute_feature_matrix(recon.values, rr, cc, terms, cnt[rr, cc], params)
 
     scores = np.full(w * h, -np.inf)
-    _score(model, pixels, features, scores, mset.k + 1, workers)
+    _score(model, pixels, features, scores, mset.k + 1)
     lin = int(np.argmax(scores))
     return location_of(lin, w), float(scores[lin])
 

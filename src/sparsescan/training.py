@@ -4,7 +4,8 @@ The RD of a candidate pixel is the drop in total absolute error obtained by
 measuring it: D(X, Xhat_before) - D(X, Xhat_after).  The windowed variant
 confines both the reconstruction update and the distortion sums to the
 (2w+1)^2 window centered on the candidate, which is what training uses; a
-window covering the whole image reproduces the exact value bit for bit.
+window covering the whole image is the exact value.  The update is
+ReconState.splice, the one a sampler's measurement writes.
 """
 
 import math
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import neighbors
 from .core import (
     GroundTruthImage,
     MeasurementSet,
@@ -24,7 +24,8 @@ from .engine import ReconState
 from .features import FEATURE_COUNT, fit_stats, standardize
 from .features import compute_feature_matrix  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .numerics import exact_abs_sum
-from .recon import IdwParams, idw_from_neighbors, window_bounds
+from .recon import IdwParams, window_bounds
+from .recon import idw_from_neighbors  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .regress import KINDS, ErdModel
 from .regress.linear import fit_linear
 from .regress.mlp import MlpConfig, fit_mlp
@@ -83,10 +84,10 @@ class TrainingDatabase:
 class RdEvaluator:
     """Scores many candidates against one fixed measurement set.
 
-    Builds the reconstruction state, indexed by pixel, once.  Each candidate
-    is then evaluated on copies of the window's rows alone: the candidate is
-    spliced into those neighbour lists and the changed pixels re-estimated.
-    Results are bit-identical to rebuilding everything per candidate.
+    Builds the reconstruction state, indexed by pixel, once.  A trial takes
+    from its splice, which the sampler's measurements use too, the window's
+    lists that the candidate enters and their new estimates, and writes
+    nothing.  Results are bit-identical to rebuilding everything per candidate.
     """
 
     def __init__(self, image: GroundTruthImage, mset: MeasurementSet, params: IdwParams):
@@ -101,45 +102,25 @@ class RdEvaluator:
     def unmeasured(self) -> np.ndarray:
         return np.flatnonzero(self.state.active)
 
-    def _rd(self, s, halfwidth: int) -> float:
-        """RD inside the (2*halfwidth+1)^2 window centered on s."""
-        st = self.state
-        s_lin = st.row(s)
-        truth_val = float(self._truth_flat[s_lin])
-        r0, r1, c0, c1 = window_bounds(divmod(s_lin, st.width), st.width, st.height, halfwidth)
-        win = (np.arange(r0, r1 + 1)[:, None] * st.width + np.arange(c0, c1 + 1)[None, :]).ravel()
-        s_pos = int(np.searchsorted(win, s_lin))
-
-        # neighbour lists of the window's pixels that gain the candidate
-        comp_after = st.comp[win]
-        active = st.active[win]
-        active[s_pos] = False
-        affected = neighbors.insert_measurement(
-            comp_after, win, s_lin, st.width, st.height, active
-        )
-
-        recon_before = st.recon_flat[win]
-        after = recon_before.copy()
-        after[s_pos] = truth_val
-        if affected.size:
-            st.recon_flat[s_lin] = truth_val
-            after[affected] = idw_from_neighbors(
-                comp_after[affected], st.n, st.recon_flat, st.params.power
-            )
-            st.recon_flat[s_lin] = recon_before[s_pos]
-
-        truth = self._truth_flat[win]
-        return exact_abs_sum(truth, recon_before) - exact_abs_sum(truth, after)
-
     def rd_exact(self, s) -> float:
         """Full-image RD from measuring s at its true value."""
-        return self._rd(s, max(self.state.width, self.state.height))
+        return self.rd_windowed(s, max(self.state.width, self.state.height))
 
     def rd_windowed(self, s, halfwidth: int) -> float:
         """RD confined to the (2w+1)^2 window centered on s."""
         if halfwidth < 1:
             raise ValueError("window halfwidth must be >= 1")
-        return self._rd(s, halfwidth)
+        st = self.state
+        lin = st.row(s)
+        value = float(self._truth_flat[lin])
+        r0, r1, c0, c1 = window_bounds(divmod(lin, st.width), st.width, st.height, halfwidth)
+        win = (np.arange(r0, r1 + 1)[:, None] * st.width + np.arange(c0, c1 + 1)[None, :]).ravel()
+        changed, _, estimates = st.splice(lin, value, win)
+        before = st.recon_flat[win]
+        after = np.where(win == lin, value, before)
+        after[changed] = estimates
+        truth = self._truth_flat[win]
+        return exact_abs_sum(truth, before) - exact_abs_sum(truth, after)
 
     def feature_matrix(self, candidate_indices: np.ndarray) -> np.ndarray:
         """Raw descriptor rows for unmeasured pixels given as linear indices."""
@@ -149,18 +130,6 @@ class RdEvaluator:
         if not np.all(self.state.active[pixels]):
             raise ValueError("candidates must be unmeasured")
         return self.state.features(pixels)
-
-
-def rd_exact(image: GroundTruthImage, mset: MeasurementSet, s, params: IdwParams) -> float:
-    """Distortion drop from measuring s, with full re-reconstruction."""
-    return RdEvaluator(image, mset, params).rd_exact(s)
-
-
-def rd_windowed(
-    image: GroundTruthImage, mset: MeasurementSet, s, params: IdwParams, halfwidth: int
-) -> float:
-    """Windowed distortion drop from measuring s."""
-    return RdEvaluator(image, mset, params).rd_windowed(s, halfwidth)
 
 
 def _block_seed(master: int, image_index: int, density_index: int) -> int:

@@ -220,16 +220,6 @@ class TestSelectNext:
             recon = reconstruct(mset, PARAMS)
             assert select_next(plain, recon, mset)[0] == select_next(scaled, recon, mset)[0]
 
-    def test_parallel_matches_serial(self, trained_lsq):
-        image = blob_image(size=24, seed=6)
-        for seed in range(20):
-            mset = seeded_mask(image, 30 + 3 * seed, seed)
-            recon = reconstruct(mset, trained_lsq.idw)
-            serial_loc, serial_score = select_next(trained_lsq, recon, mset, workers=1)
-            par_loc, par_score = select_next(trained_lsq, recon, mset, workers=4)
-            assert serial_loc == par_loc
-            assert serial_score == par_score
-
     def test_scores_the_given_reconstruction(self, trained_lsq):
         # exhaustive oracle: the single-pixel descriptor of every unmeasured
         # pixel against a reconstruction that is not reconstruct(mset),
@@ -787,9 +777,8 @@ class TestBlockSize:
         out["terms"] = state.terms
         for kind, model in models.items():
             out[f"{kind} initial scores"] = _Greedy(ReconState(mset.copy(), PARAMS), model).scores
-            for workers in (1, 4):
-                loc, erd = select_next(model, recon, mset, workers=workers)
-                out[f"{kind} select_next workers={workers}"] = np.array([*loc, erd])
+            loc, erd = select_next(model, recon, mset)
+            out[f"{kind} select_next"] = np.array([*loc, erd])
             cfg = RunConfig(
                 initial_density=0.01, budget_density=0.02, checkpoint_densities=(0.02,), seed=2
             )

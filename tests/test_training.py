@@ -1,6 +1,9 @@
 """Tests for RD targets and training database generation."""
 
+import importlib.util
 import math
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +24,6 @@ from sparsescan.training import (
     TrainingDatabase,
     TrainingSchedule,
     generate_training_db,
-    rd_exact,
-    rd_windowed,
     save_training_csv,
     train_erd_model,
 )
@@ -69,13 +70,13 @@ class TestRdHandCases:
         # estimate there is their plain mean 50; truth is 0, so the error
         # is 50 and measuring the middle removes all of it
         img, mset = self.tiny([0.0, 0.0, 100.0], (0, 2))
-        assert rd_exact(img, mset, PixelLocation(0, 1), PARAMS) == 50.0
+        assert RdEvaluator(img, mset, PARAMS).rd_exact(PixelLocation(0, 1)) == 50.0
 
     def test_peak_between_equal_ends(self):
         # both ends are 0, the middle is estimated 0 while truth is 100
-        img, mset = self.tiny([0.0, 100.0, 0.0], (0, 2))
-        assert rd_exact(img, mset, PixelLocation(0, 1), PARAMS) == 100.0
-        assert rd_windowed(img, mset, PixelLocation(0, 1), PARAMS, 5) == 100.0
+        ev = RdEvaluator(*self.tiny([0.0, 100.0, 0.0], (0, 2)), PARAMS)
+        assert ev.rd_exact(PixelLocation(0, 1)) == 100.0
+        assert ev.rd_windowed(PixelLocation(0, 1), 5) == 100.0
 
     def test_constant_image_rd_negligible(self):
         # weighted means of equal values round at the last few bits, so the
@@ -89,16 +90,16 @@ class TestRdHandCases:
             assert abs(ev.rd_windowed(s, 4)) <= 1e-9
 
     def test_measured_candidate_rejected(self):
-        img, mset = self.tiny([0.0, 50.0, 100.0], (0, 2))
+        ev = RdEvaluator(*self.tiny([0.0, 50.0, 100.0], (0, 2)), PARAMS)
         with pytest.raises(ValueError):
-            rd_exact(img, mset, PixelLocation(0, 0), PARAMS)
+            ev.rd_exact(PixelLocation(0, 0))
         with pytest.raises(ValueError):
-            rd_windowed(img, mset, PixelLocation(0, 2), PARAMS, 3)
+            ev.rd_windowed(PixelLocation(0, 2), 3)
 
     def test_out_of_grid_candidate_rejected(self):
-        img, mset = self.tiny([0.0, 50.0, 100.0], (0,))
+        ev = RdEvaluator(*self.tiny([0.0, 50.0, 100.0], (0,)), PARAMS)
         with pytest.raises(ValueError):
-            rd_exact(img, mset, PixelLocation(1, 0), PARAMS)
+            ev.rd_exact(PixelLocation(1, 0))
 
     def test_feature_matrix_rejects_out_of_grid_and_measured(self):
         image = blob_image(size=16, seed=2)
@@ -123,9 +124,9 @@ class TestRdHandCases:
             RdEvaluator(img, full, PARAMS)
 
     def test_bad_halfwidth_rejected(self):
-        img, mset = self.tiny([0.0, 50.0, 100.0], (0,))
+        ev = RdEvaluator(*self.tiny([0.0, 50.0, 100.0], (0,)), PARAMS)
         with pytest.raises(ValueError):
-            rd_windowed(img, mset, PixelLocation(0, 1), PARAMS, 0)
+            ev.rd_windowed(PixelLocation(0, 1), 0)
 
 
 class TestRdOracle:
@@ -137,7 +138,8 @@ class TestRdOracle:
             s = loc_of(lin, 16)
             want = pipeline_rd(image, mset, s, PARAMS)
             assert ev.rd_exact(s) == want
-            assert rd_exact(image, mset, s, PARAMS) == want
+            # a fresh evaluator: earlier trials left nothing behind
+            assert RdEvaluator(image, mset, PARAMS).rd_exact(s) == want
 
     def test_windowed_equals_exact_at_full_width(self):
         for seed in (0, 1):
@@ -217,6 +219,65 @@ class TestRdOracle:
         ev = RdEvaluator(image, mset, PARAMS)
         vals = [ev.rd_exact(loc_of(l, 32)) for l in ev.unmeasured[::5]]
         assert np.mean(vals) > 0.0
+
+
+class TestRdTrials:
+    """An RD trial splices the candidate with the sampler's own update, on
+    the evaluator's shared state, and must leave that state as it found it."""
+
+    STATE = ("comp", "recon_flat", "terms", "active", "cnt", "reach")
+
+    def test_trials_write_nothing(self):
+        size = 24
+        image = blob_image(size=size, seed=6)
+        mset = random_setup(image, 0.1, seed=8)
+        ev = RdEvaluator(image, mset, PARAMS)
+        st = ev.state
+        kept = {name: getattr(st, name).copy() for name in self.STATE}
+        kept_set = (mset.mask.copy(), mset.value_grid().copy(), list(mset.entries))
+        last = size - 1
+        groups = {
+            "corner": [(0, 0), (0, last), (last, 0), (last, last)],
+            "edge": [(0, c) for c in range(1, last)] + [(r, last) for r in range(1, last)],
+            "interior": [(r, c) for r in range(8, 16) for c in range(8, 16)],
+        }
+        for name, cells in groups.items():
+            cands = [PixelLocation(*rc) for rc in cells if PixelLocation(*rc) not in mset][:6]
+            assert cands, name
+            for s in cands:
+                for w in (1, 3, 15):
+                    ev.rd_windowed(s, w)
+                ev.rd_exact(s)
+        assert st.mset is mset
+        for name in self.STATE:
+            now = getattr(st, name)
+            assert now.dtype == kept[name].dtype, name
+            assert now.shape == kept[name].shape, name
+            assert now.tobytes() == kept[name].tobytes(), name
+        assert mset.mask.tobytes() == kept_set[0].tobytes()
+        assert mset.value_grid().tobytes() == kept_set[1].tobytes()
+        assert mset.entries == kept_set[2]
+
+    def test_trials_are_traced_under_rd_windowed(self):
+        # the benchmark's tracer wraps the layers by name; every trial must
+        # show its insertion and its IDW estimate as children of rd_windowed
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        schedule = TrainingSchedule(densities=(0.05, 0.3), samples_per_level=15, seed=2)
+        with tracing.installed(tracing.Tracer()) as tracer:
+            db = generate_training_db([blob_image(size=20, seed=4)], schedule, PARAMS)
+        spans = tracer.spans
+        names = Counter(rec[0] for rec in spans)
+        assert names["training.rd_windowed"] == db.n == 30
+        under = [rec for rec in spans if rec[3] >= 0 and spans[rec[3]][0] == "training.rd_windowed"]
+        per_trial = Counter(rec[0] for rec in under)
+        assert per_trial["neighbors.insert_measurement"] == db.n
+        assert per_trial["recon.idw_from_neighbors"] == db.n
+        changed = sum(r[4]["rows_changed"] for r in under if r[0] == "neighbors.insert_measurement")
+        estimated = sum(r[4]["rows"] for r in under if r[0] == "recon.idw_from_neighbors")
+        assert changed == estimated > 0
 
 
 class TestGenerateDb:
