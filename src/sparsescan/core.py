@@ -130,6 +130,30 @@ class MeasurementSet:
         for loc, value in entries:
             self.add(loc, value)
 
+    @classmethod
+    def from_linear(cls, width: int, height: int, indices, values) -> "MeasurementSet":
+        """The set add() builds from row-major indices and their values, in order, at once.
+
+        Raises OutOfBoundsError and DuplicateMeasurementError as add() does.
+        """
+        mset = cls(width=width, height=height)
+        lin = np.asarray(indices, dtype=np.int64)
+        vals = np.asarray(values, dtype=np.float64)
+        if lin.ndim != 1 or vals.shape != lin.shape:
+            raise ValueError("expected equally long 1-D indices and values")
+        outside = (lin < 0) | (lin >= width * height)
+        if outside.any():
+            raise OutOfBoundsError(f"index {lin[outside][0]} outside {width}x{height} grid")
+        _, first = np.unique(lin, return_index=True)
+        if first.size < lin.size:
+            again = int(lin[np.setdiff1d(np.arange(lin.size), first)[0]])
+            raise DuplicateMeasurementError(f"{location_of(again, width)} already measured")
+        mset.mask.flat[lin] = True
+        mset._value_grid.flat[lin] = vals
+        rows, cols = np.divmod(lin, width)
+        mset.entries = list(zip(map(PixelLocation, rows.tolist(), cols.tolist()), vals.tolist()))
+        return mset
+
     @property
     def k(self) -> int:
         return len(self.entries)

@@ -46,6 +46,10 @@ class MlpConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("beta1 and beta2 must lie in [0, 1)")
+        if not self.adam_eps > 0:
+            raise ValueError("adam_eps must be positive")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
 
@@ -189,6 +193,15 @@ def _adam_step(value, grad, m, v, step: int, config: MlpConfig, work) -> None:
     so the in-place bits equal the allocating ones.  Once 1 - beta1**step
     rounds to 1.0 (from step 356 for beta1 = 0.9), m / 1.0 is m bit for bit,
     and that divide, slow over subnormal moments, is skipped.
+
+    From then on an element whose gradient is +-0 and whose first moment is
+    +-k ulps of zero, k <= _HeldMoments.ulps, does not move: m * beta1 rounds
+    back to m, m + (+-0) is m, m * lr rounds to +-0, and value - (+-0) is
+    value unless value is itself zero (-0.0 - (-0.0) is +0.0).  v never
+    reads m.  So the same bits come out when such an m is stored as +0.0 for
+    the step: m stays +0.0, the update is +0.0 and value is unchanged.
+    fit_mlp holds such moments that way (_HeldMoments), because every
+    multiply over a subnormal m takes the processor's slow path.
     """
     a, b = work
     np.multiply(m, config.beta1, out=m)
@@ -209,6 +222,47 @@ def _adam_step(value, grad, m, v, step: int, config: MlpConfig, work) -> None:
     b += config.adam_eps
     a /= b
     value -= a
+
+
+class _HeldMoments:
+    """First moments that _adam_step cannot move, stored as +0.0 while held.
+
+    Late in a fit the first moments of weights that get no gradient, such as
+    those of dead relu units, decay into subnormals until m * beta1 rounds
+    back to m, and stay there.  hold() stores those moments in m as +0.0 and
+    keeps their values here; release() puts a moment back before any step
+    that gives its element a nonzero gradient.  Between the two, _adam_step
+    computes the same value, m and v bits as over the true moments.
+    """
+
+    def __init__(self, config: MlpConfig):
+        tiny = np.arange(1, 65, dtype=np.uint64).view(np.float64)  # 1 .. 64 ulps of 0
+        fixed = (tiny * config.beta1 == tiny) & (tiny * config.learning_rate == 0.0)
+        # the largest k with every j <= k ulps fixed: 5 at the defaults
+        self.ulps = int(fixed.size if fixed.all() else fixed.argmin())
+        self.beta1 = config.beta1
+        self.index = np.empty(0, dtype=np.int64)
+        self.moment = np.empty(0)
+
+    def release(self, grad, m) -> None:
+        """Put back into m every held moment whose element's gradient is nonzero."""
+        g = grad[self.index]
+        if g.any():  # NaN counts as nonzero
+            keep = g == 0.0
+            m[self.index[~keep]] = self.moment[~keep]
+            self.index, self.moment = self.index[keep], self.moment[keep]
+
+    def hold(self, value, m, step: int) -> None:
+        """Hold every fixed-point moment of a nonzero value, once step is past bias correction."""
+        if 1.0 - self.beta1 ** (step + 1) != 1.0:
+            return
+        # integer ops on the bits: no subnormal penalty, and a held +0.0 is 0
+        bits = m.view(np.uint64) & np.uint64(0x7FFF_FFFF_FFFF_FFFF)
+        new = np.flatnonzero((bits >= 1) & (bits <= self.ulps))
+        new = new[value[new] != 0.0]
+        self.index = np.concatenate((self.index, new))
+        self.moment = np.concatenate((self.moment, m[new]))
+        m[new] = 0.0
 
 
 def adam_update(value, grad, m, v, step: int, config: MlpConfig):
@@ -236,6 +290,11 @@ def fit_mlp(V: np.ndarray, R: np.ndarray, config: MlpConfig = MlpConfig()):
     over the whole of it.  Every element still sees the same operations in
     the same order as a per-array update with freshly allocated arrays, so
     the weights, biases and loss are bit-identical to that loop.
+
+    After each epoch, the subnormal first moments that the step can no longer
+    move (those of dead relu units, late in a fit) are held out of it as +0.0
+    until their element gets a gradient again: no bit changes, and the step's
+    multiplies no longer take the processor's slow path over them.
     """
     V = np.asarray(V, dtype=np.float64)
     R = np.asarray(R, dtype=np.float64)
@@ -254,6 +313,7 @@ def fit_mlp(V: np.ndarray, R: np.ndarray, config: MlpConfig = MlpConfig()):
     m = np.zeros_like(params)
     v = np.zeros_like(params)
     work = (np.empty_like(params), np.empty_like(params))
+    held = _HeldMoments(config)
     net = _Backprop(weights, min(n, config.batch_size), config.activation)
     rng = np.random.default_rng(config.seed + 1)
     step = 0
@@ -270,7 +330,9 @@ def fit_mlp(V: np.ndarray, R: np.ndarray, config: MlpConfig = MlpConfig()):
             epoch_loss += loss
             step += 1
             net.gradients(weights, x, grads_w, grads_b)
+            held.release(grad, m)
             _adam_step(params, grad, m, v, step, config, work)
+        held.hold(params, m, step)
     model = MlpModel(
         weights=tuple(w.copy() for w in weights),
         biases=tuple(b.copy() for b in biases),

@@ -17,7 +17,6 @@ import numpy as np
 from .core import (
     GroundTruthImage,
     MeasurementSet,
-    PixelLocation,
     atomic_write_text,
 )
 from .engine import ReconState
@@ -174,20 +173,17 @@ def generate_training_db(
             seed = _block_seed(schedule.seed, ii, di)
             rng = np.random.default_rng(seed)
             chosen = rng.choice(n, size=n_meas, replace=False)
-            mset = MeasurementSet(width=image.width, height=image.height)
-            truth = image.values.ravel()
-            for lin in chosen:
-                loc = PixelLocation(int(lin) // image.width, int(lin) % image.width)
-                mset.add(loc, float(truth[lin]))
+            mset = MeasurementSet.from_linear(
+                image.width, image.height, chosen, image.values.ravel()[chosen]
+            )
 
             ev = RdEvaluator(image, mset, params)
             m = min(schedule.samples_per_level, ev.unmeasured.size)
             cand = rng.choice(ev.unmeasured, size=m, replace=False)
             feats.append(ev.feature_matrix(cand))
             block_rd = np.empty(m)
-            for j, lin in enumerate(cand):
-                loc = PixelLocation(int(lin) // image.width, int(lin) % image.width)
-                block_rd[j] = ev.rd_windowed(loc, schedule.rd_window)
+            for j, lin in enumerate(cand.tolist()):
+                block_rd[j] = ev.rd_windowed(divmod(lin, image.width), schedule.rd_window)
             rds.append(block_rd)
             ids.extend([image_ids[ii]] * m)
             dens.extend([density] * m)

@@ -107,6 +107,35 @@ class TestMeasurementSet:
         with pytest.raises(OutOfBoundsError):
             MeasurementSet(width=4, height=3, entries=[((3, 0), 1.0)])
 
+    def test_from_linear_equals_adding_in_order(self):
+        rng = np.random.default_rng(3)
+        lin = rng.choice(35, size=20, replace=False)
+        values = rng.uniform(0.0, 255.0, size=20)
+        values[0] = -0.0
+        bulk = MeasurementSet.from_linear(7, 5, lin, values)
+        added = MeasurementSet(width=7, height=5)
+        for i, value in zip(lin, values):
+            added.add(divmod(int(i), 7), value)
+        assert bulk.entries == added.entries
+        assert all(type(x) is int for loc, _ in bulk.entries for x in loc)
+        assert all(type(v) is float for _, v in bulk.entries)
+        assert bulk.mask.tobytes() == added.mask.tobytes()
+        assert bulk.value_grid().tobytes() == added.value_grid().tobytes()
+        free = int(np.setdiff1d(np.arange(35), lin)[0])
+        bulk.add(divmod(free, 7), 1.0)  # a bulk-built set grows like any other
+        assert bulk.k == 21 and bulk.mask.ravel()[free]
+        empty = MeasurementSet.from_linear(7, 5, [], [])
+        assert empty.k == 0 and not empty.mask.any()
+
+    def test_from_linear_rejects_what_add_rejects(self):
+        with pytest.raises(DuplicateMeasurementError, match=r"row=1, col=2\)"):
+            MeasurementSet.from_linear(4, 3, [0, 6, 5, 6], [1.0, 2.0, 3.0, 4.0])
+        for bad in (-1, 12):
+            with pytest.raises(OutOfBoundsError, match=f"index {bad} outside 4x3"):
+                MeasurementSet.from_linear(4, 3, [0, bad], [1.0, 2.0])
+        with pytest.raises(ValueError, match="equally long"):
+            MeasurementSet.from_linear(4, 3, [0, 1], [1.0])
+
     def test_exhaustion(self, mset):
         for r in range(3):
             for c in range(4):

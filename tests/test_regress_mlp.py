@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sparsescan import numerics
+from sparsescan.regress import mlp
 from sparsescan.regress.mlp import (
     HIDDEN_LAYERS,
     HIDDEN_UNITS,
@@ -245,6 +246,92 @@ class TestAdamStep:
         assert down > 1.0
 
 
+ULP = np.float64(5e-324)  # the smallest subnormal, 2**-1074
+
+
+class TestHeldMoments:
+    """fit_mlp's held first moments against reference_adam_update, step by step."""
+
+    @staticmethod
+    def state():
+        # (value, m, v, gradient) per element; run() varies the gradients of
+        # elements 7, 8 and 10 from step to step
+        rows = [
+            (0.5, 5 * ULP, 0.01, 0.0),  # a fixed point: held
+            (-0.25, -5 * ULP, 0.02, -0.0),  # held
+            (0.5, 6 * ULP, 0.01, 0.0),  # 6 ulps decay to 5, then held
+            (0.5, -6 * ULP, 0.0, -0.0),
+            (0.0, -5 * ULP, 0.01, 0.0),  # a zero weight is never held
+            (-0.0, -5 * ULP, 0.01, 0.0),  # if held, it would stay -0.0, not turn +0.0
+            (-0.0, 5 * ULP, 0.01, -0.0),
+            (0.5, 5 * ULP, 0.01, 0.0),  # released when its gradient turns nonzero
+            (1.0, 1e-3, 1e-4, 2e-3),  # an ordinary weight
+            (0.3, ULP, 0.0, 0.0),
+            (1e-300, 3 * ULP, 0.0, -0.0),  # any nonzero update would show
+            (1e-300, 49 * ULP, 0.0, 0.0),
+        ]
+        return tuple(np.array(col) for col in zip(*rows))
+
+    @staticmethod
+    def run(config, first_step, steps, turn=None):
+        value, m, v, grad = TestHeldMoments.state()
+        ref = (value.copy(), m.copy(), v.copy())
+        held = mlp._HeldMoments(config)
+        work = (np.empty_like(value), np.empty_like(value))
+        held.hold(value, m, first_step - 1)  # as if the state came from step first_step - 1
+        counts = []
+        for step in range(first_step, first_step + steps):
+            g = grad.copy()
+            g[8] = 2e-3 * (-1) ** step
+            if step == turn:
+                g[7] = 1e-3
+            g[10] = 0.0 if step % 2 else -0.0
+            held.release(g, m)
+            mlp._adam_step(value, g, m, v, step, config, work)
+            held.hold(value, m, step)
+            ref = reference_adam_update(*ref[:1], g, *ref[1:], step, config)
+            true_m = m.copy()
+            true_m[held.index] = held.moment
+            for got, want in zip((value, true_m, v), ref):
+                assert_same_bits(got, want)
+            counts.append(sorted(held.index.tolist()))
+        return counts
+
+    def test_fixed_points_at_the_defaults(self):
+        held = mlp._HeldMoments(MlpConfig())
+        assert held.ulps == 5
+        assert mlp._HeldMoments(MlpConfig(beta1=0.99, learning_rate=0.01)).ulps == 49
+        assert mlp._HeldMoments(MlpConfig(learning_rate=0.7)).ulps == 0  # 0.7 ulp rounds up
+
+    def test_bits_equal_the_reference_across_the_bias_correction(self):
+        # 1 - 0.9**step first rounds to 1.0 at step 356, so the first hold
+        # comes after step 355
+        counts = self.run(MlpConfig(), 340, 40, turn=365)
+        assert counts[:15] == [[]] * 15
+        assert counts[15] == [0, 1, 2, 3, 7, 9, 10]
+        assert 7 in counts[24] and 7 not in counts[25]  # released by step 365
+        assert 11 in counts[-1]  # 49 ulps decay to 5
+
+    def test_zero_weights_are_not_held(self):
+        # held from the start: element 5 would keep its -0.0 where the step
+        # makes it -0.0 - (-0.0) = +0.0
+        counts = self.run(MlpConfig(), 400, 10, turn=403)
+        assert counts[0] == [0, 1, 2, 3, 7, 9, 10]
+        assert counts[3] == [0, 1, 2, 3, 9, 10]
+
+    def test_nothing_is_held_before_the_bias_correction_rounds_away(self):
+        # beta1 = 0.99 holds 49 ulps, and m / (1 - beta1**step) * lr of 49
+        # ulps is not zero: holding before step 3,725 would change bits
+        config = MlpConfig(beta1=0.99, learning_rate=0.01)
+        assert self.run(config, 1, 30) == [[]] * 30
+        counts = self.run(config, 3720, 10)
+        assert counts[:4] == [[]] * 4
+        assert counts[4] == [0, 1, 2, 3, 7, 9, 10, 11]
+
+    def test_nothing_is_held_where_a_few_ulps_move_the_weight(self):
+        assert self.run(MlpConfig(learning_rate=0.7), 400, 20) == [[]] * 20
+
+
 class TestForward:
     def test_identity_network_collapses_to_linear_map(self):
         # with identity activations the network is x @ (W0 W1 ... W5) + chain
@@ -385,6 +472,16 @@ class TestFitMlp:
             MlpConfig(epochs=0)
         with pytest.raises(ValueError):
             MlpConfig(activation="tanh")
+        # beta = 1.0 and eps = 0.0 used to fail after an epoch as a divergence
+        for bad in (1.0, 1.5, -0.5, math.nan):
+            with pytest.raises(ValueError, match="beta1 and beta2"):
+                MlpConfig(beta1=bad)
+            with pytest.raises(ValueError, match="beta1 and beta2"):
+                MlpConfig(beta2=bad)
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="adam_eps"):
+                MlpConfig(adam_eps=bad)
+        MlpConfig(beta1=0.0, beta2=0.0, adam_eps=1e-300)
 
 
 class TestFitMlpBits:
@@ -411,5 +508,27 @@ class TestFitMlpBits:
         ref_w, ref_b, ref_loss = reference_fit_mlp(V, R, config)
         assert_same_bits(loss, ref_loss)
         assert len(model.weights) == len(ref_w) and len(model.biases) == len(ref_b)
+        for got, want in zip(model.weights + model.biases, ref_w + ref_b):
+            assert_same_bits(got, want)
+
+    def test_held_moments_change_no_bits(self, monkeypatch):
+        # 7,000 steps: the first moments of dead relu units decay to fixed
+        # points a few ulps above zero and are held from about step 6,880 on
+        most = []
+
+        class Counted(mlp._HeldMoments):
+            def hold(self, value, m, step):
+                super().hold(value, m, step)
+                most.append(self.index.size)
+
+        monkeypatch.setattr(mlp, "_HeldMoments", Counted)
+        rng = np.random.default_rng(163)
+        V = rng.standard_normal((16, 3))
+        R = rng.standard_normal(16)
+        config = MlpConfig(epochs=3500, batch_size=8, seed=3, learning_rate=1e-2)
+        model, loss = fit_mlp(V, R, config)
+        assert max(most) > 1000
+        ref_w, ref_b, ref_loss = reference_fit_mlp(V, R, config)
+        assert_same_bits(loss, ref_loss)
         for got, want in zip(model.weights + model.biases, ref_w + ref_b):
             assert_same_bits(got, want)
