@@ -6,9 +6,12 @@ numbers to scoring the full batch.  A plain BLAS matmul does not guarantee
 that: its kernel, blocking and reduction order can depend on the batch
 shape, so a row's bits change with the rows around it.  Three techniques avoid that here:
 
-- ``stable_matmul`` (the MLP forward pass) pushes rows through ``np.matmul``
-  in zero-padded tiles of one fixed shape, ``ROW_TILE`` rows, so every call
-  runs the same BLAS kernel on the same tile shape.
+- ``tile_product`` (the MLP forward pass) takes rows zero-padded once to
+  whole tiles of ``MATMUL_TILE`` rows and stacked as (tiles, MATMUL_TILE,
+  k); one ``np.matmul`` over the stack runs one BLAS product of the same
+  (MATMUL_TILE, k) @ (k, n) shape per tile, so every call runs the same
+  kernel on the same tile shape.  ``stable_matmul`` is the same product
+  for a plain (m, k) matrix.
 - SVR prediction (``regress.svr.predict_svr``) turns the tile round: a slab
   of ``ROW_TILE`` support-vector rows, each extended by two terms, is the
   left operand and up to ``ROW_TILE`` query rows, each extended likewise,
@@ -24,9 +27,10 @@ shape, so a row's bits change with the rows around it.  Three techniques avoid t
 
 Both tile orientations sit behind a memoised self-test per operand shape
 built on ``_position_invariant``: a result row, or column, must not depend on
-its position in a tile or on the other rows in it.  The row tile's test is
-here; the SVR test (``regress.svr.slab_path``) runs the slab loop itself.  A
-shape that fails falls back to ``einsum``.
+its position in a tile or on the other rows in it.  Each test runs the
+product that prediction runs, over two tiles in one call.  The row tile's
+test is here; the SVR test (``regress.svr.slab_path``) runs the slab loop
+itself.  A shape that fails falls back to ``einsum``.
 """
 
 import functools
@@ -35,12 +39,13 @@ import math
 
 import numpy as np
 
-ROW_TILE = 256  # rows per BLAS tile; query columns per SVR column tile
+ROW_TILE = 256  # query columns per SVR column tile, support vectors per slab
+MATMUL_TILE = 64  # rows per BLAS tile of stable_matmul and tile_product
 
 # Pixels per block of a full-image build (neighbour search, re-estimation,
 # scoring, distortion sums).  Every row is computed on its own, so results do
 # not depend on it; it bounds the temporaries, and as a multiple of ROW_TILE
-# only a call's last block pads a BLAS tile.
+# and MATMUL_TILE only a call's last block pads a BLAS tile.
 ROW_BLOCK = 4096
 
 
@@ -49,65 +54,81 @@ def row_blocks(m: int):
     return [slice(start, start + ROW_BLOCK) for start in range(0, m, ROW_BLOCK)]
 
 
-def _blas_tiles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(m, k) @ (k, n) as (ROW_TILE, k) @ (k, n) BLAS products.
-
-    a and b must be C-contiguous float64.  Full tiles are read from a in
-    place; the last partial tile is copied into a zero-padded tile, so every
-    product has the same shape.
-    """
+def row_tiles(a: np.ndarray) -> np.ndarray:
+    """The rows of a (m, k) as (tiles, MATMUL_TILE, k), the last tile zero-padded."""
     m, k = a.shape
-    out = np.empty((m, b.shape[1]))
-    full = m - m % ROW_TILE
-    for start in range(0, full, ROW_TILE):
-        stop = start + ROW_TILE
-        np.matmul(a[start:stop], b, out=out[start:stop])
-    if full < m:
-        tail = np.zeros((ROW_TILE, k))
-        tail[: m - full] = a[full:]
-        out[full:] = np.matmul(tail, b)[: m - full]
+    tiles = np.zeros((-(-m // MATMUL_TILE), MATMUL_TILE, k))
+    tiles.reshape(-1, k)[:m] = a
+    return tiles
+
+
+def _tile_matmul(h: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i] = h[i] @ w for every tile i, in one stacked np.matmul.
+
+    numpy runs one BLAS product of shape (MATMUL_TILE, k) @ (k, n) per tile,
+    so every product has one shape however many tiles there are.
+    """
+    return np.matmul(h, w, out=out)
+
+
+def tile_product(h: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i] = h[i] @ w for stacked tiles h, with batch-composition-stable rounding.
+
+    h is (tiles, MATMUL_TILE, k) and out (tiles, MATMUL_TILE, n), both
+    C-contiguous float64.  The product runs through _tile_matmul when (k, n)
+    weights passed the self-test, else through einsum over the rows.
+    """
+    w = np.ascontiguousarray(w, dtype=np.float64)
+    k, n = w.shape
+    if _tiles_row_invariant(k, n):
+        return _tile_matmul(h, w, out)
+    np.einsum("ij,jk->ik", h.reshape(-1, k), w, out=out.reshape(-1, n))
     return out
+
+
+def _tiled(a: np.ndarray, b: np.ndarray, product) -> np.ndarray:
+    """(m, k) @ (k, n) as product(tiles, b, out) over the zero-padded row tiles of a."""
+    h = row_tiles(a)
+    out = np.empty((h.shape[0], MATMUL_TILE, b.shape[1]))
+    return product(h, b, out).reshape(-1, b.shape[1])[: a.shape[0]]
 
 
 def _position_invariant(tiles, a: np.ndarray) -> bool:
     """Self-test of a tiled computation: tiles(a) has one result row per row of a.
 
-    a holds ROW_TILE rows.  One call of two tiles, a full tile of permuted
+    a holds one tile of rows.  One call of two tiles, a full tile of permuted
     rows and a padded tile of some of the same rows permuted, must give every
     row the bits it gets in a single unpermuted full tile.
     """
     rng = np.random.default_rng(1)
-    part = ROW_TILE // 3
-    perm = rng.permutation(ROW_TILE)
+    tile = a.shape[0]
+    part = tile // 3
+    perm = rng.permutation(tile)
     perm_part = rng.permutation(part)
     full = tiles(a)
     got = tiles(np.concatenate([a[perm], a[perm_part]]))
-    return np.array_equal(got[:ROW_TILE], full[perm]) and np.array_equal(
-        got[ROW_TILE:], full[perm_part]
+    return np.array_equal(got[:tile], full[perm]) and np.array_equal(
+        got[tile:], full[perm_part]
     )
 
 
 @functools.lru_cache(maxsize=None)
 def _tiles_row_invariant(k: int, n: int) -> bool:
-    """Whether ``_blas_tiles`` is row-position invariant for (k, n) weights."""
+    """Whether stacked ``_tile_matmul`` tiles are row-position invariant for (k, n) weights."""
     rng = np.random.default_rng(0)
-    a = rng.standard_normal((ROW_TILE, k))
+    a = rng.standard_normal((MATMUL_TILE, k))
     b = rng.standard_normal((k, n))
-    return _position_invariant(lambda rows: _blas_tiles(rows, b), a)
+    return _position_invariant(lambda rows: _tiled(rows, b, _tile_matmul), a)
 
 
 def matmul_path(k: int, n: int) -> str:
-    """Which path ``stable_matmul`` takes for (k, n) weights."""
-    return f"blas-tile{ROW_TILE}" if _tiles_row_invariant(k, n) else "einsum"
+    """Which path ``tile_product`` takes for (k, n) weights."""
+    return f"blas-tile{MATMUL_TILE}" if _tiles_row_invariant(k, n) else "einsum"
 
 
 def stable_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(m, k) @ (k, n) with batch-composition-stable rounding."""
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    if _tiles_row_invariant(*b.shape):
-        return _blas_tiles(a, b)
-    return np.einsum("ij,jk->ik", a, b)
+    return _tiled(np.asarray(a, dtype=np.float64), b, tile_product)
 
 
 def stable_matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:

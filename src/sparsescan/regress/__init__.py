@@ -47,6 +47,10 @@ def predict_batch(model: ErdModel, raw_features: np.ndarray) -> np.ndarray:
     rows = np.asarray(raw_features, dtype=np.float64)
     if rows.ndim != 2:
         raise ValueError("expected a 2-D feature matrix")
+    if rows.shape[1] != model.stats.means.shape[0]:
+        raise ValueError(
+            f"expected {model.stats.means.shape[0]} features per row, got {rows.shape[1]}"
+        )
     v = standardize(rows, model.stats)
     if model.kind == "lsq":
         return stable_matvec(v, model.payload.theta)
@@ -60,10 +64,11 @@ def predict_batch(model: ErdModel, raw_features: np.ndarray) -> np.ndarray:
 def prediction_path(model: ErdModel) -> str:
     """The product path predict_batch runs for model, as effective.cfg reports it.
 
-    nn layers go through stable_matmul (``blas-tile256``, or ``einsum`` for a
-    weight shape whose self-test failed); svr's kernel goes through column
-    tiles of (256, features + 2) slabs (``blas-coltile256``, or ``einsum`` when
-    the slab loop failed its self-test); lsq always uses einsum.
+    nn layers go through tile_product, one stacked product per layer over
+    tiles of MATMUL_TILE rows (``blas-tile64``, or ``einsum`` for a weight
+    shape whose self-test failed); svr's kernel goes through column tiles of
+    (256, features + 2) slabs (``blas-coltile256``, or ``einsum`` when the
+    slab loop failed its self-test); lsq always uses einsum.
     """
     if model.kind == "nn":
         return "+".join(sorted({matmul_path(*w.shape) for w in model.payload.weights}))

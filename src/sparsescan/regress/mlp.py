@@ -10,10 +10,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..numerics import stable_matmul
+from ..numerics import MATMUL_TILE, row_tiles, tile_product
 
 HIDDEN_UNITS = 50
 HIDDEN_LAYERS = 5
+# Tiles that forward takes through all the layers at once: at 50 units its
+# two buffers then hold 410 KB each and stay in L2 cache.  On a Xeon with
+# 2 MiB of L2 a core, a 4,096-row block in one pass (1.6 MB a buffer) ran
+# 1.4 times slower.
+PASS_TILES = 16
 ACTIVATIONS = ("relu", "identity")
 
 
@@ -91,14 +96,33 @@ def init_params(feature_count: int, seed: int):
 
 
 def forward(weights, biases, x: np.ndarray, activation: str) -> np.ndarray:
-    """Batch-composition-stable forward pass; returns (m,) predictions."""
-    h = np.asarray(x, dtype=np.float64)
-    for w, b in zip(weights[:-1], biases[:-1]):
-        h = stable_matmul(h, w)
-        h += b
-        if activation == "relu":
-            np.maximum(h, 0.0, out=h)
-    return (stable_matmul(h, weights[-1]) + biases[-1])[:, 0]
+    """Batch-composition-stable forward pass; returns (m,) predictions.
+
+    The rows are zero-padded once to whole tiles of MATMUL_TILE rows and stay
+    stacked as (tiles, MATMUL_TILE, width) through every layer: each hidden
+    layer is one tile_product into one of two flat buffers that the layers
+    take in turn, with the bias added and relu applied in place.  A padding
+    row never reaches a real row's bits, since each row's product depends
+    only on that row.  Up to PASS_TILES tiles go through all the layers
+    together, so that the two buffers stay in cache.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    tiles = row_tiles(x)
+    size = min(len(tiles), PASS_TILES) * MATMUL_TILE * max(w.shape[1] for w in weights[:-1])
+    hidden = (np.empty(size), np.empty(size))
+    out = np.empty((len(tiles), MATMUL_TILE, 1))
+    for start in range(0, len(tiles), PASS_TILES):
+        h = tiles[start : start + PASS_TILES]
+        rows = h.shape[0] * MATMUL_TILE
+        for i, (w, b) in enumerate(zip(weights[:-1], biases[:-1])):
+            z = _rows(hidden[i % 2], rows, w.shape[1]).reshape(h.shape[0], MATMUL_TILE, -1)
+            h = tile_product(h, w, z)
+            h += b
+            if activation == "relu":
+                np.maximum(h, 0.0, out=h)
+        tile_product(h, weights[-1], out[start : start + PASS_TILES])
+    out += biases[-1]
+    return out.reshape(-1)[: x.shape[0]]
 
 
 def _layer_views(flat: np.ndarray, shapes):

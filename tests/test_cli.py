@@ -27,7 +27,7 @@ from sparsescan.cli import (
 )
 from sparsescan.core import save_image
 from sparsescan.features import FeatureStats
-from sparsescan.numerics import ROW_TILE
+from sparsescan.numerics import MATMUL_TILE, ROW_TILE
 from sparsescan.recon import IdwParams
 from sparsescan.regress import ErdModel, MlpModel, SvrModel, load_model, save_model
 from sparsescan.regress.mlp import init_params
@@ -394,7 +394,7 @@ class TestRun:
         assert run_cli(*argv) == EXIT_OK
         lines = (tmp_path / "runout" / "effective.cfg").read_text().splitlines()
         cfg = dict(l.split("=", 1) for l in lines)
-        assert cfg["matmul"] == f"blas-tile{ROW_TILE}"
+        assert cfg["matmul"] == f"blas-tile{MATMUL_TILE}"
         capsys.readouterr()
 
     def test_svr_run_reports_column_tiles(self, workdir, tmp_path, capsys):

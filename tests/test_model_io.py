@@ -3,6 +3,7 @@
 import dataclasses
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +80,7 @@ def make_nn_model(seed=0):
 
 
 ALL_MAKERS = [make_lsq_model, make_svr_model, make_nn_model]
+COMMITTED_MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "models"
 
 
 class TestRoundTrip:
@@ -137,6 +139,19 @@ class TestRoundTrip:
         back = load_model(path)
         assert back.pretrained is True
         assert back.extra == {"sha256": "ab" * 32}
+
+
+class TestPredictBatchInput:
+    """predict_batch takes exactly the feature count the model was trained on."""
+
+    @pytest.mark.parametrize("kind", ["lsq", "nn", "svr"])
+    def test_wrong_feature_count_is_rejected(self, kind):
+        model = load_model(COMMITTED_MODELS / f"{kind}.slnm")
+        assert model.stats.means.shape == (6,)
+        for t in (1, 7):
+            with pytest.raises(ValueError, match=f"expected 6 features per row, got {t}"):
+                predict_batch(model, np.ones((3, t)))
+        assert predict_batch(model, np.ones((0, 6))).shape == (0,)
 
 
 class TestLayout:

@@ -16,6 +16,7 @@ import pytest
 
 from sparsescan import numerics
 from sparsescan.numerics import (
+    MATMUL_TILE,
     ROW_TILE,
     exact_abs_sum,
     matmul_path,
@@ -105,19 +106,25 @@ def _einsum_matmul(a, b):
     return np.einsum("ij,jk->ik", a, b)
 
 
-def _position_dependent(a, b):
-    """A product whose rows depend on where they sit in the batch."""
-    return a @ b + np.arange(a.shape[0])[:, None] * 1e-9
+def _einsum_tiles(h, w, out):
+    return np.einsum("tij,jk->tik", h, w, out=out)
+
+
+def _position_dependent(h, w, out):
+    """A stacked tile product whose rows depend on where they sit in a tile."""
+    np.matmul(h, w, out=out)
+    out += np.arange(h.shape[1])[:, None] * 1e-9
+    return out
 
 
 class TestTiledMatmul:
-    """stable_matmul runs fixed-shape BLAS tiles behind a self-test."""
+    """stable_matmul runs stacked fixed-shape BLAS tiles behind a self-test."""
 
     @pytest.mark.parametrize("k, n", [(6, 50), (50, 50), (50, 1)])
     def test_mlp_weight_shapes_take_the_tiled_path(self, k, n):
         # fails on a BLAS build whose tiles are not row-position invariant:
         # prediction there is correct but runs the slower einsum fallback
-        assert matmul_path(k, n) == f"blas-tile{ROW_TILE}"
+        assert matmul_path(k, n) == f"blas-tile{MATMUL_TILE}"
 
     @pytest.mark.parametrize("m", [1, ROW_TILE - 1, ROW_TILE, ROW_TILE + 1, 1000])
     def test_rows_independent_of_batch_across_tile_edges(self, m):
@@ -154,11 +161,11 @@ class TestTiledMatmul:
         assert (info.misses, info.hits) == (2, 4)
 
     def test_self_test_accepts_an_invariant_product(self, fresh_self_test, monkeypatch):
-        monkeypatch.setattr(numerics, "_blas_tiles", _einsum_matmul)
-        assert matmul_path(50, 50) == f"blas-tile{ROW_TILE}"
+        monkeypatch.setattr(numerics, "_tile_matmul", _einsum_tiles)
+        assert matmul_path(50, 50) == f"blas-tile{MATMUL_TILE}"
 
     def test_failed_self_test_falls_back_to_einsum(self, fresh_self_test, monkeypatch):
-        monkeypatch.setattr(numerics, "_blas_tiles", _position_dependent)
+        monkeypatch.setattr(numerics, "_tile_matmul", _position_dependent)
         assert matmul_path(50, 50) == "einsum"
         rng = np.random.default_rng(24)
         a = rng.standard_normal((ROW_TILE + 7, 50))

@@ -1,12 +1,13 @@
 """Neural regressor numerics: gradients, the optimizer step, convergence."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sparsescan import numerics
-from sparsescan.regress import mlp
+from sparsescan.regress import load_model, mlp
 from sparsescan.regress.mlp import (
     HIDDEN_LAYERS,
     HIDDEN_UNITS,
@@ -378,15 +379,20 @@ class TestForward:
         )
 
     def test_failed_self_test_falls_back_to_einsum(self, monkeypatch):
-        # a product whose rows depend on their batch position must fail the
-        # self-test; forward then runs einsum and stays batch-independent
-        def position_dependent(a, b):
-            return a @ b + np.arange(a.shape[0])[:, None] * 1e-9
+        # a stacked product that is exact within each tile but moves every
+        # tile after the first by 1e-9 per tile: a self-test of one tile
+        # would pass it, the two-tile one must not, and forward then runs
+        # einsum and stays batch-independent
+        def tile_dependent(h, w, out):
+            np.matmul(h, w, out=out)
+            out += np.arange(h.shape[0])[:, None, None] * 1e-9
+            return out
 
         numerics._tiles_row_invariant.cache_clear()
-        monkeypatch.setattr(numerics, "_blas_tiles", position_dependent)
+        monkeypatch.setattr(numerics, "_tile_matmul", tile_dependent)
         try:
             weights, biases = init_params(6, seed=9)
+            assert {numerics.matmul_path(*w.shape) for w in weights} == {"einsum"}
             x = np.random.default_rng(5).standard_normal((300, 6))
             full = forward(weights, biases, x, "relu")
             assert np.array_equal(full, einsum_forward(weights, biases, x, "relu"))
@@ -403,6 +409,66 @@ class TestForward:
         assert len(weights) == HIDDEN_LAYERS + 1
         model = MlpModel(weights=tuple(weights), biases=tuple(biases), activation="relu")
         assert model.activation == "relu"
+
+
+def tile256_forward(weights, biases, x, activation):
+    """The forward pass as it ran before the stacked tiles, kept as the oracle:
+    each layer a loop of (256, k) @ (k, n) products, the last partial tile
+    copied into a zero-padded tile, a fresh output per layer."""
+
+    def blas_tiles(a, b):
+        m, k = a.shape
+        out = np.empty((m, b.shape[1]))
+        full = m - m % 256
+        for start in range(0, full, 256):
+            np.matmul(a[start : start + 256], b, out=out[start : start + 256])
+        if full < m:
+            tail = np.zeros((256, k))
+            tail[: m - full] = a[full:]
+            out[full:] = np.matmul(tail, b)[: m - full]
+        return out
+
+    h = np.asarray(x, dtype=np.float64)
+    for w, b in zip(weights[:-1], biases[:-1]):
+        h = blas_tiles(h, w)
+        h += b
+        if activation == "relu":
+            np.maximum(h, 0.0, out=h)
+    return (blas_tiles(h, weights[-1]) + biases[-1])[:, 0]
+
+
+def committed_nn_weights():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "models" / "nn.slnm"
+    payload = load_model(path).payload
+    return payload.weights, payload.biases
+
+
+T = numerics.MATMUL_TILE
+PASS = mlp.PASS_TILES * T  # rows that go through the layers together
+
+
+class TestStackedTilesKeepBits:
+    """forward's stacked MATMUL_TILE-row tiles, PASS_TILES of them a pass,
+    give every row the bits of the 256-row tile loop they replaced."""
+
+    @pytest.mark.parametrize("m", [0, 1, T - 1, T, T + 1, 255, 256, 257, 700, PASS + 1, 4096])
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    @pytest.mark.parametrize("weights_from", ["committed", "init_params"])
+    def test_bits_equal_the_256_row_tiles(self, weights_from, activation, m):
+        if weights_from == "committed":
+            weights, biases = committed_nn_weights()
+        else:
+            weights, biases = init_params(6, seed=31)
+            biases = [np.random.default_rng(32).uniform(-0.1, 0.1, b.shape) for b in biases]
+        rng = np.random.default_rng(m)
+        x = rng.standard_normal((m, 6)) * 2.0
+        full = forward(weights, biases, x, activation)
+        assert full.shape == (m,)
+        assert full.tobytes() == tile256_forward(weights, biases, x, activation).tobytes()
+        perm = rng.permutation(m)
+        assert forward(weights, biases, x[perm], activation).tobytes() == full[perm].tobytes()
+        for i in sorted({0, T - 1, T, 255, 256, PASS - 1, PASS, m - 1} & set(range(m))):
+            assert forward(weights, biases, x[i : i + 1], activation)[0] == full[i]
 
 
 class TestFitMlp:
