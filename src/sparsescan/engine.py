@@ -15,7 +15,9 @@ score of each row lets the argmax skip rows nothing changed in.  What a
 neighbour list fixes (the IDW estimate, and the descriptor terms of the list
 and that estimate) is cached per pixel and recomputed only for the lists a
 step changed.  So a step costs what the neighbour reach and the window
-cost, not what the image does.
+cost, not what the image does.  Once every list of a call is full, as from
+k measured pixels on, the list arithmetic skips its pad masks, with the
+same bits.
 """
 
 import math
@@ -181,9 +183,11 @@ class ReconState:
     """Incremental (neighbours, window counts, reconstruction) of a measurement set.
 
     Every per-pixel array is indexed by pixel (linear index); active marks
-    the pixels still unmeasured, and rows of measured pixels are never read.
-    Neighbour composites and window counts stay equal, bit for bit, to what
-    a from-scratch rebuild would compute.
+    the pixels still unmeasured.  Neighbour composites and window counts
+    stay equal, bit for bit, to what a from-scratch rebuild would compute.
+    Rows of measured pixels are never read, but for the last composite slot,
+    which holds -1: below every composite, so no insertion enters it, and
+    the reach key of a pixel that has no list.
 
     recon_flat is the reconstruction: the measured value at every measured
     pixel and the IDW estimate of its current neighbour list at every other
@@ -198,7 +202,8 @@ class ReconState:
     a feature row reads one row of terms.
 
     reach[r] is the largest k-th-neighbour composite (comp[:, -1]) among the
-    active pixels of image row r, or -1 when the row has none.  A new pixel
+    active pixels of image row r, or -1 when the row has none: the largest
+    comp[:, -1] of the row, since measured pixels hold -1 there.  A new pixel
     enters the list of pixel p only if its composite d2 * N + index is below
     comp[p, -1], which is at most reach[row of p].  So on each row only the
     columns whose squared distance to the new pixel keeps the composite
@@ -215,10 +220,12 @@ class ReconState:
         self.n = mset.width * mset.height
         self.active = ~mset.mask.ravel()
         unmeasured = np.flatnonzero(self.active)
+        measured = mset.measured_indices()
         self.comp = np.zeros((self.n, params.neighbors), dtype=np.int64)
         self.comp[unmeasured] = neighbors.knn_measured(
-            unmeasured, mset.measured_indices(), self.width, self.height, params.neighbors
+            unmeasured, measured, self.width, self.height, params.neighbors
         )
+        self.comp[measured, -1] = -1
         self.recon_flat = mset.value_grid().ravel().copy()
         self.terms = np.zeros((self.n, 3))
         for block in row_blocks(unmeasured.size):
@@ -240,9 +247,7 @@ class ReconState:
         self.terms[pixels] = neighbour_terms(comp, self.n, self.recon_flat, estimates)
 
     def _update_reach(self, rows: np.ndarray) -> None:
-        last = self.comp[:, -1].reshape(self.height, self.width)[rows]
-        active = self.active.reshape(self.height, self.width)[rows]
-        self.reach[rows] = np.where(active, last, -1).max(axis=1)
+        self.reach[rows] = self.comp[:, -1].reshape(self.height, self.width)[rows].max(axis=1)
 
     def _reachable(self, lin: int) -> np.ndarray:
         """Active pixels, ascending, whose neighbour lists lin could enter."""
@@ -311,6 +316,7 @@ class ReconState:
         lin = self.row(loc)
         self.mset.add(loc, value)
         self.active[lin] = False
+        self.comp[lin, -1] = -1
         self.recon_flat[lin] = value
 
         r0, r1, c0, c1 = window_bounds(loc, self.width, self.height, self.params.window)
@@ -372,10 +378,14 @@ class _Greedy:
         self.scores[linear_index(loc, w)] = -np.inf
         # Rescore the window (f6 changed there), the pixels whose lists
         # changed (f3-f5) and their 4-neighbours (f1 and f2 read a changed
-        # value one pixel away).  Clipping the neighbours to the grid makes
-        # duplicates, which the sort drops.
+        # value one pixel away).  A changed pixel strictly inside the box
+        # has its 4-neighbours in the box, so only those on or past its
+        # border ring are expanded.  Clipping the neighbours to the grid
+        # makes duplicates, which the sort drops.
         r0, r1, c0, c1 = window_bounds(loc, w, h, st.params.window)
         ar, ac = np.divmod(affected, w)
+        ring = (ar <= r0) | (ar >= r1) | (ac <= c0) | (ac >= c1)
+        ar, ac = ar[ring], ac[ring]
         rr = np.concatenate([ar, np.maximum(ar - 1, 0), np.minimum(ar + 1, h - 1), ar, ar])
         cc = np.concatenate([ac, ac, ac, np.maximum(ac - 1, 0), np.minimum(ac + 1, w - 1)])
         out = (rr < r0) | (rr > r1) | (cc < c0) | (cc > c1)

@@ -117,14 +117,17 @@ def neighbour_terms(
     f4 compares each row's neighbour values with its entry of center, the
     value at that row's pixel.  Each row depends on its own composites,
     centre and the measured values alone, with a fixed reduction, so it is
-    bitwise independent of the batch.
+    bitwise independent of the batch.  A call whose lists are all full skips
+    the pad masks and divides by the list length; a masked slot adds 0.0, so
+    the bits are the same either way.
     """
-    d2, idx, valid = neighbors.decode(comp, n)
-    vals = np.where(valid, value_flat[idx], 0.0)
-    counts = valid.sum(axis=1).astype(np.float64)
+    d2, idx, valid = neighbors.decode_lists(comp, n)
+    vals = neighbors.zero_pads(value_flat[idx], valid)
+    counts = float(comp.shape[1]) if valid is None else valid.sum(axis=1).astype(np.float64)
     nb_mean = np.sum(vals, axis=1) / counts
-    f3 = np.sqrt(np.sum(np.where(valid, (vals - nb_mean[:, None]) ** 2, 0.0), axis=1) / counts)
-    f4 = np.sum(np.where(valid, np.abs(center[:, None] - vals), 0.0), axis=1) / counts
+    spread = neighbors.zero_pads((vals - nb_mean[:, None]) ** 2, valid)
+    f3 = np.sqrt(np.sum(spread, axis=1) / counts)
+    f4 = np.sum(neighbors.zero_pads(np.abs(center[:, None] - vals), valid), axis=1) / counts
     return np.column_stack([f3, f4, np.sqrt(d2[:, 0].astype(np.float64))])
 
 

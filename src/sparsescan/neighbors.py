@@ -48,6 +48,24 @@ def decode(comp: np.ndarray, n: int):
     return d2, safe - d2 * n, valid
 
 
+def decode_lists(comp: np.ndarray, n: int):
+    """decode for rows of sorted lists, with valid None when no list holds a pad.
+
+    Pads trail each sorted list, so its last column decides.  Once every
+    list is full, as at k >= count measured pixels, callers skip the pad
+    masks; a masked slot only adds 0.0, so both paths give the same bits.
+    """
+    if comp[:, -1].max(initial=0) < SENTINEL:
+        d2 = comp // n
+        return d2, comp - d2 * n, None
+    return decode(comp, n)
+
+
+def zero_pads(a: np.ndarray, valid) -> np.ndarray:
+    """a with its pad slots set to 0.0, or a itself when valid is None."""
+    return a if valid is None else np.where(valid, a, 0.0)
+
+
 def _tile_lists(tree, qr, qc, mr, mc, measured_indices, width, n, count, out) -> None:
     """Write the canonical lists of one block's queries into out, one search per tile.
 

@@ -43,11 +43,13 @@ def idw_from_neighbors(
     """IDW estimates for rows of canonical neighbor composites.
 
     The weighted sums run in canonical neighbor order with a fixed reduction,
-    so results are bitwise independent of how the rows were batched.
+    so results are bitwise independent of how the rows were batched.  A call
+    whose lists are all full skips the pad masks; a masked slot adds the
+    weight 0.0 and the value 0.0, so the bits are the same either way.
     """
-    d2, idx, valid = neighbors.decode(comp, n)
-    weights = np.where(valid, d2.astype(np.float64) ** (-0.5 * power), 0.0)
-    vals = np.where(valid, value_flat[idx], 0.0)
+    d2, idx, valid = neighbors.decode_lists(comp, n)
+    weights = neighbors.zero_pads(d2.astype(np.float64) ** (-0.5 * power), valid)
+    vals = neighbors.zero_pads(value_flat[idx], valid)
     return np.sum(weights * vals, axis=1) / np.sum(weights, axis=1)
 
 

@@ -308,10 +308,12 @@ class TestRunSampling:
         """The incremental neighbour lists equal a from-scratch kNN search;
         every active pixel's cached list terms equal neighbour_terms of that
         search against its estimate, and the whole reconstruction equals
-        reconstruct(mset), bit for bit; and the per-row reach and score
-        maxima equal their recomputation."""
+        reconstruct(mset), bit for bit; every measured pixel's last
+        composite slot holds the reach key -1; and the per-row reach and
+        score maxima equal their recomputation."""
         h, w = state.height, state.width
         active = np.flatnonzero(state.active)
+        assert np.all(state.comp[state.mset.measured_indices(), -1] == -1)
         if active.size:
             rebuilt = neighbors.knn_measured(
                 active, state.mset.measured_indices(), w, h, state.params.neighbors
@@ -382,6 +384,23 @@ class TestRunSampling:
             initial_density=0.01, budget_density=0.30, checkpoint_densities=(), idw=params
         )
         assert self.assert_each_step_matches_select_next(model, blob_image(size=32, seed=3), cfg)
+
+    @pytest.mark.parametrize("count", (10, 4))
+    @pytest.mark.parametrize("shape", ((32, 32), (24, 40)), ids=("32x32", "24x40"))
+    def test_each_step_matches_select_next_at_window_1(self, shape, count):
+        # a 3x3 box: nearly every changed list lies on or past the box's
+        # border ring, whose 4-neighbours are the only ones that can fall
+        # outside it, so the ring test must keep its edges.  Four neighbours
+        # keep the changed regions small enough that each side of the ring
+        # matters on its own.
+        h, w = shape
+        image = GroundTruthImage.from_array(blob_image(size=w, seed=3).values[:h])
+        params = IdwParams(neighbors=count, power=2.0, window=1)
+        model = linear_model([1.0, 1.0, 0.5, 0.5, 0.2, -1.0], params=params)
+        cfg = self.small_config(
+            initial_density=0.01, budget_density=0.15, checkpoint_densities=(), idw=params
+        )
+        assert self.assert_each_step_matches_select_next(model, image, cfg)
 
     def test_each_step_matches_select_next_with_two_neighbours(self):
         # with two neighbours a new measurement changes few neighbour lists,

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from sparsescan import neighbors
 from sparsescan.core import MeasurementSet, PixelLocation, Reconstruction
 from sparsescan.engine import ReconState
 from sparsescan.features import (
@@ -19,6 +20,7 @@ from sparsescan.features import (
     extract_features,
     fit_stats,
     measured_counts_grid,
+    neighbour_terms,
     standardize,
 )
 from sparsescan.recon import IdwParams, reconstruct
@@ -214,6 +216,45 @@ class TestBatchMatchesSinglePixel:
     def test_non_square_grid(self):
         params = IdwParams(neighbors=5, window=2)
         self.assert_rows_match(*random_case(13, 7, 12, 2, params), params)
+
+
+class TestListTermPaths:
+    """neighbour_terms skips the pad masks and divides by the list length
+    when every list of a call is full; one padded list sends the whole call
+    down the masked path.  Full lists must get the same bits either way,
+    and a padded list the terms of its own neighbours in any call."""
+
+    # (count, short, rows): a padded list with one measured neighbour (k = 1)
+    # or nine of ten, a two-slot list with one pad, and no full lists (m = 0)
+    @pytest.mark.parametrize(
+        "count, short, rows",
+        ((10, 1, 70), (10, 9, 70), (2, 1, 70), (10, 1, 0)),
+        ids=("k=1", "k=9", "count=2", "m=0"),
+    )
+    def test_full_lists_alone_and_beside_a_padded_one(self, count, short, rows):
+        mset, recon = random_case(12, 9, 30, count + short, IdwParams(neighbors=count))
+        measured = mset.measured_indices()
+        pixels = mset.unmeasured_indices()[:rows]
+        last = mset.unmeasured_indices()[-1:]
+        full = neighbors.knn_measured(pixels, measured, 12, 9, count)
+        padded = neighbors.knn_measured(last, measured[:short], 12, 9, count)
+        assert np.all(full < neighbors.SENTINEL)
+        assert np.all(padded[0, short:] == neighbors.SENTINEL)
+        values = mset.value_grid().ravel()
+        center = recon.values.ravel()
+        alone = neighbour_terms(full, values.size, values, center[pixels])
+        mixed = neighbour_terms(
+            np.vstack([full, padded]), values.size, values, center[np.append(pixels, last)]
+        )
+        assert alone.shape == (rows, 3)
+        assert mixed[:rows].tobytes() == alone.tobytes()
+        only = neighbour_terms(padded, values.size, values, center[last])
+        assert mixed[rows:].tobytes() == only.tobytes()
+        # the padded list's terms are those of its own neighbours alone
+        d2, idx = np.divmod(padded[0, :short], values.size)
+        vals = values[idx]
+        expected = [vals.std(), np.mean(np.abs(center[last[0]] - vals)), math.sqrt(d2[0])]
+        np.testing.assert_allclose(only[0], expected, rtol=1e-13)
 
 
 class TestDescriptorInvariances:

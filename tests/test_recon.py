@@ -328,3 +328,40 @@ class TestIdwFromNeighbors:
         w = np.array([1.0, 1.0 / 4.0, 1.0 / 9.0])
         v = np.array([30.0, 60.0, 90.0])
         assert got[0] == pytest.approx(float(np.sum(w * v) / np.sum(w)), rel=1e-15)
+
+
+class TestIdwListPaths:
+    """A call whose lists are all full skips the pad masks; one padded list
+    sends the whole call down the masked path.  Full lists must get the
+    same bits either way, and a padded list its own neighbours' estimate
+    in any call."""
+
+    # (count, short, rows): a padded list with one measured neighbour (k = 1)
+    # or nine of ten, a two-slot list with one pad, and no full lists (m = 0)
+    @pytest.mark.parametrize(
+        "count, short, rows",
+        ((10, 1, 70), (10, 9, 70), (2, 1, 70), (10, 1, 0)),
+        ids=("k=1", "k=9", "count=2", "m=0"),
+    )
+    @pytest.mark.parametrize("power", (2.0, 1.0))
+    def test_full_lists_alone_and_beside_a_padded_one(self, count, short, rows, power):
+        mset = random_mset(12, 9, 30, seed=count + short)
+        measured = mset.measured_indices()
+        pixels = mset.unmeasured_indices()[:rows]
+        last = mset.unmeasured_indices()[-1:]
+        full = neighbors.knn_measured(pixels, measured, 12, 9, count)
+        padded = neighbors.knn_measured(last, measured[:short], 12, 9, count)
+        assert np.all(full < neighbors.SENTINEL)
+        assert np.all(padded[0, short:] == neighbors.SENTINEL)
+        values = mset.value_grid().ravel()
+        alone = idw_from_neighbors(full, values.size, values, power)
+        mixed = idw_from_neighbors(np.vstack([full, padded]), values.size, values, power)
+        assert alone.shape == (rows,)
+        assert mixed[:rows].tobytes() == alone.tobytes()
+        only = idw_from_neighbors(padded, values.size, values, power)
+        assert mixed[rows:].tobytes() == only.tobytes()
+        # a pad read as a composite would be a far pixel: at power 1 its
+        # weight moves the estimate by about 1e-7
+        d2, idx = np.divmod(padded[0, :short], values.size)
+        weights = d2.astype(np.float64) ** (-0.5 * power)
+        assert only[0] == pytest.approx(np.sum(weights * values[idx]) / np.sum(weights), rel=1e-13)
