@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from .core import GroundTruthImage, atomic_write_text, load_image, psnr
+from .core import atomic_write, load_image, psnr
 from .engine import (
     RunConfig,
     SimulatedSource,
@@ -65,6 +65,20 @@ def _density_list(text: str):
     return values
 
 
+def _at_least(conv, low):
+    """conv, then a check that the value is at least low and, if a float, finite."""
+
+    def convert(text: str):
+        value = conv(text)
+        # isfinite only on floats: it overflows on an int of 309 digits or more
+        if not value >= low or (isinstance(value, float) and not math.isfinite(value)):
+            raise argparse.ArgumentTypeError(f"expected a finite value >= {low}, got {text!r}")
+        return value
+
+    convert.__name__ = conv.__name__  # argparse names a failed conversion by it
+    return convert
+
+
 def resolve_threads() -> int:
     """SLADS_THREADS: unset -> 1, 0 -> all cores, N -> N."""
     raw = os.environ.get("SLADS_THREADS")
@@ -109,11 +123,11 @@ _OPTION_TABLE = {
     "activation": (str, "relu", _FIT),
     "densities": (_density_list, None, _FIT + _SAMPLE),  # per-command default below
     "samples_per_level": (int, 500, _FIT),
-    "seed": (int, 0, _FIT + _SAMPLE),
+    "seed": (_at_least(int, 0), 0, _FIT + _SAMPLE),
     "initial": (float, 0.01, _SAMPLE),
     "budget": (float, 0.40, _SAMPLE),
-    "repeats": (int, 10, ("eval",)),
-    "noise_sigma": (float, 0.0, _SAMPLE),
+    "repeats": (_at_least(int, 1), 10, ("eval",)),
+    "noise_sigma": (_at_least(float, 0), 0.0, _SAMPLE),
     "window": (int, None, _FIT + _SAMPLE),
     "neighbors": (int, None, _FIT + _SAMPLE),
 }
@@ -145,9 +159,8 @@ def resolve_options(args) -> None:
         setattr(args, name, default)
 
 
-def effective_config_text(pairs) -> str:
-    lines = [f"{k}={v}" for k, v in pairs]
-    return "\n".join(lines) + "\n"
+def _write_config(path, pairs) -> None:
+    atomic_write(path, "".join(f"{k}={v}\n" for k, v in pairs).encode())
 
 
 def _sha256_file(path) -> str:
@@ -286,7 +299,7 @@ def cmd_run(args) -> int:
         ("neighbors", run_config.idw.neighbors),
         ("matmul", prediction_path(model)),
     ]
-    atomic_write_text(os.path.join(args.out, "effective.cfg"), effective_config_text(pairs))
+    _write_config(os.path.join(args.out, "effective.cfg"), pairs)
     final_psnr = psnr(image.values, run.final_reconstruction.values)
     print(
         f"measured {run.measured_count} pixels "
@@ -330,8 +343,6 @@ def cmd_eval(args) -> int:
             f"methods share the label(s) {', '.join(shared)} (a model's file name "
             "without extension, or 'random'); give each model a distinct file name"
         )
-    if args.repeats < 1:
-        raise UsageError("--repeats must be >= 1")
     workers = resolve_threads()
     run_config = _run_config(args)
     # validate every model early, before any runs are spent
@@ -389,7 +400,7 @@ def cmd_eval(args) -> int:
                 f"{label},{repr(float(d))},{repr(float(p.mean()))},"
                 f"{repr(float(p.std()))},{repr(float(dist.mean()))},{repr(wall_mean)}"
             )
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    atomic_write(args.out, ("\n".join(lines) + "\n").encode())
 
     matmul = {label: "none" if m is None else prediction_path(m) for label, m in models.items()}
 
@@ -409,7 +420,7 @@ def cmd_eval(args) -> int:
         ("neighbors", per_method(lambda label: idws[label].neighbors)),
         ("matmul", per_method(matmul.__getitem__)),
     ]
-    atomic_write_text(args.out + ".cfg", effective_config_text(pairs))
+    _write_config(args.out + ".cfg", pairs)
     print(f"wrote {args.out} ({len(methods)} methods x {args.repeats} repeats)")
     if aborted:
         for label, seed, err in aborted:

@@ -7,7 +7,7 @@ the canonical ordering used for tie-breaking throughout the package.
 """
 
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -20,13 +20,13 @@ PSNR_CAP_DB = 99.0
 INTENSITY_MAX = 255.0
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a torn file."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def atomic_write(path, data: bytes) -> None:
+    """Write via a sibling temp file and rename: no torn file, and a failure keeps path."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # open()'s mode: umask applies
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -33,7 +33,7 @@ from .core import (
     MeasurementSet,
     PixelLocation,
     Reconstruction,
-    atomic_write_text,
+    atomic_write,
     distortion,
     linear_index,
     location_of,
@@ -63,8 +63,8 @@ class SimulatedSource:
     """
 
     def __init__(self, image: GroundTruthImage, noise_sigma: float = 0.0, seed: int = 0):
-        if noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
         self.image = image
         self.noise_sigma = float(noise_sigma)
         self.seed = int(seed)
@@ -182,8 +182,8 @@ def _distinct(ascending: np.ndarray) -> np.ndarray:
 class ReconState:
     """Incremental (neighbours, window counts, reconstruction) of a measurement set.
 
-    Every per-pixel array is indexed by pixel (linear index); active marks
-    the pixels still unmeasured.  Neighbour composites and window counts
+    Every per-pixel array is indexed by pixel (linear index).  Which pixels
+    are measured is mset.mask alone.  Neighbour composites and window counts
     stay equal, bit for bit, to what a from-scratch rebuild would compute.
     Rows of measured pixels are never read, but for the last composite slot,
     which holds -1: below every composite, so no insertion enters it, and
@@ -202,14 +202,14 @@ class ReconState:
     a feature row reads one row of terms.
 
     reach[r] is the largest k-th-neighbour composite (comp[:, -1]) among the
-    active pixels of image row r, or -1 when the row has none: the largest
-    comp[:, -1] of the row, since measured pixels hold -1 there.  A new pixel
-    enters the list of pixel p only if its composite d2 * N + index is below
-    comp[p, -1], which is at most reach[row of p].  So on each row only the
-    columns whose squared distance to the new pixel keeps the composite
-    below reach[r] can change, and an insertion looks at those alone.
-    Composites only fall, so after a measurement reach is recomputed for the
-    rows whose lists changed and for the row of the new pixel.
+    unmeasured pixels of image row r, or -1 when the row has none: the
+    largest comp[:, -1] of the row, since measured pixels hold -1 there.  A
+    new pixel enters the list of pixel p only if its composite d2 * N + index
+    is below comp[p, -1], which is at most reach[row of p].  So on each row
+    only the columns whose squared distance to the new pixel keeps the
+    composite below reach[r] can change, and an insertion looks at those
+    alone.  Composites only fall, so after a measurement reach is recomputed
+    for the rows whose lists changed and for the row of the new pixel.
     """
 
     def __init__(self, mset: MeasurementSet, params: IdwParams):
@@ -218,8 +218,7 @@ class ReconState:
         self.width = mset.width
         self.height = mset.height
         self.n = mset.width * mset.height
-        self.active = ~mset.mask.ravel()
-        unmeasured = np.flatnonzero(self.active)
+        unmeasured = mset.unmeasured_indices()
         measured = mset.measured_indices()
         self.comp = np.zeros((self.n, params.neighbors), dtype=np.int64)
         self.comp[unmeasured] = neighbors.knn_measured(
@@ -250,7 +249,7 @@ class ReconState:
         self.reach[rows] = self.comp[:, -1].reshape(self.height, self.width)[rows].max(axis=1)
 
     def _reachable(self, lin: int) -> np.ndarray:
-        """Active pixels, ascending, whose neighbour lists lin could enter."""
+        """Unmeasured pixels, ascending, whose neighbour lists lin could enter."""
         w = self.width
         nr, nc = divmod(lin, w)
         # d2 * N + lin < reach  <=>  d2 <= (reach - lin - 1) // N
@@ -263,17 +262,16 @@ class ReconState:
         lengths = np.minimum(nc + span, w - 1) - lo + 1
         starts = rows * w + lo - (np.cumsum(lengths) - lengths)
         pixels = np.arange(lengths.sum()) + np.repeat(starts, lengths)
-        return pixels[self.active[pixels]]
+        return pixels[~self.mset.mask.ravel()[pixels]]
 
     def row(self, loc) -> int:
         """Linear index of the unmeasured pixel at loc."""
         loc = PixelLocation(int(loc[0]), int(loc[1]))
         if not (0 <= loc.row < self.height and 0 <= loc.col < self.width):
             raise ValueError(f"{loc} outside {self.width}x{self.height} grid")
-        lin = linear_index(loc, self.width)
-        if not self.active[lin]:
+        if loc in self.mset:
             raise ValueError(f"{loc} is already measured")
-        return lin
+        return linear_index(loc, self.width)
 
     def reconstruction(self) -> Reconstruction:
         return Reconstruction(
@@ -284,13 +282,11 @@ class ReconState:
 
     def features(self, pixels: np.ndarray) -> np.ndarray:
         """Raw descriptor rows for unmeasured pixels given as linear indices."""
-        rr, cc = np.divmod(pixels, self.width)
         return compute_feature_matrix(
             self.recon_flat.reshape(self.height, self.width),
-            rr,
-            cc,
+            pixels,
             self.terms.take(pixels, axis=0),
-            self.cnt[rr, cc],
+            self.cnt.take(pixels),
             self.params,
         )
 
@@ -298,24 +294,24 @@ class ReconState:
         """What measuring value at lin would change among pixels; the state is kept.
 
         Returns (changed, comp, estimates): the positions in pixels (linear
-        indices) of the active lists lin would enter, those lists with lin
-        spliced in, and their IDW estimates with value at lin.
+        indices) of the unmeasured lists lin would enter, those lists with
+        lin spliced in, and their IDW estimates with value at lin.  For the
+        trial, lin's own list is closed (-1 in its last slot) and its value
+        is value, as a measurement leaves them; both are restored after.
         """
+        kept = self.comp[lin, -1], self.recon_flat[lin]
+        self.comp[lin, -1], self.recon_flat[lin] = -1, value
         comp = self.comp.take(pixels, axis=0)
-        active = self.active[pixels] & (pixels != lin)
-        changed = neighbors.insert_measurement(comp, pixels, lin, self.width, self.height, active)
+        changed = neighbors.insert_measurement(comp, pixels, lin, self.width, self.height)
         comp = comp[changed]
-        old = self.recon_flat[lin]
-        self.recon_flat[lin] = value
         estimates = idw_from_neighbors(comp, self.n, self.recon_flat, self.params.power)
-        self.recon_flat[lin] = old
+        self.comp[lin, -1], self.recon_flat[lin] = kept
         return changed, comp, estimates
 
     def measure(self, loc, value: float) -> np.ndarray:
         """Add a measurement; returns the pixels whose neighbour lists changed."""
         lin = self.row(loc)
         self.mset.add(loc, value)
-        self.active[lin] = False
         self.comp[lin, -1] = -1
         self.recon_flat[lin] = value
 
@@ -329,13 +325,6 @@ class ReconState:
         self._refresh(affected, comp, estimates)
         self._update_reach(np.append(_distinct(affected // self.width), lin // self.width))
         return affected
-
-    def active_rows_in_box(self, loc, halfwidth: int) -> np.ndarray:
-        """Unmeasured pixels inside the box, in ascending linear order."""
-        r0, r1, c0, c1 = window_bounds(loc, self.width, self.height, halfwidth)
-        box = self.active.reshape(self.height, self.width)[r0 : r1 + 1, c0 : c1 + 1]
-        rr, cc = np.nonzero(box)
-        return (rr + r0) * self.width + (cc + c0)
 
 
 class _Greedy:
@@ -355,7 +344,7 @@ class _Greedy:
         self.state = state
         self.model = model
         self.scores = np.full(state.n, -np.inf)
-        self._rescore(np.flatnonzero(state.active))
+        self._rescore(state.mset.unmeasured_indices())
         self.row_max = self._grid().max(axis=1)
 
     def _grid(self) -> np.ndarray:
@@ -390,8 +379,9 @@ class _Greedy:
         cc = np.concatenate([ac, ac, ac, np.maximum(ac - 1, 0), np.minimum(ac + 1, w - 1)])
         out = (rr < r0) | (rr > r1) | (cc < c0) | (cc > c1)
         outside = _distinct(np.sort(rr[out] * w + cc[out]))
-        outside = outside[st.active[outside]]
-        self._rescore(np.concatenate([st.active_rows_in_box(loc, st.params.window), outside]))
+        outside = outside[~st.mset.mask.ravel()[outside]]
+        br, bc = np.nonzero(~st.mset.mask[r0 : r1 + 1, c0 : c1 + 1])
+        self._rescore(np.concatenate([(br + r0) * w + (bc + c0), outside]))
         rows = _distinct(outside // w)
         rows = np.concatenate([np.arange(r0, r1 + 1), rows[(rows < r0) | (rows > r1)]])
         self.row_max[rows] = self._grid()[rows].max(axis=1)
@@ -403,7 +393,7 @@ class _Random:
 
     def __init__(self, state: ReconState, rng):
         self.width = state.width
-        self._order = iter(rng.permutation(np.flatnonzero(state.active)))
+        self._order = iter(rng.permutation(state.mset.unmeasured_indices()))
 
     def best(self):
         return location_of(int(next(self._order)), self.width), float("nan")
@@ -432,9 +422,9 @@ def select_next(model, recon: Reconstruction, mset: MeasurementSet):
     cnt = measured_counts_grid(mset.mask, params.window)
 
     def features(block):
-        rr, cc = np.divmod(pixels[block], w)
-        terms = neighbour_terms(comp[block], w * h, values, center[pixels[block]])
-        return compute_feature_matrix(recon.values, rr, cc, terms, cnt[rr, cc], params)
+        lin = pixels[block]
+        terms = neighbour_terms(comp[block], w * h, values, center[lin])
+        return compute_feature_matrix(recon.values, lin, terms, cnt.take(lin), params)
 
     scores = np.full(w * h, -np.inf)
     _score(model, pixels, features, scores, mset.k + 1)
@@ -537,7 +527,7 @@ def save_history_csv(run: SamplingRun, path) -> None:
             f"{e.step},{e.location.row},{e.location.col},"
             f"{repr(float(e.value))},{repr(float(e.predicted_erd))}"
         )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def save_checkpoint_artifacts(run: SamplingRun, out_dir) -> list:

@@ -17,8 +17,8 @@ The features depend on three different inputs:
     never change) and, for f4, on the value at s.  An unmeasured pixel's
     estimate is fixed by its list, so neighbour_terms computes the three
     once per list, against the given centre values;
-  - f1 and f2 read the reconstruction around s, and compute_feature_matrix
-    assembles them around the list terms;
+  - f1 and f2 read the reconstruction around s (its linear index gives its
+    borders), and compute_feature_matrix assembles them around the terms;
   - f6 depends only on the window's measured count.
 The sampler's batch path (terms cached per pixel), select_next's (terms
 built from scratch) and the single-pixel path call the same two functions,
@@ -133,27 +133,27 @@ def neighbour_terms(
 
 def compute_feature_matrix(
     recon_grid: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
+    pixels: np.ndarray,
     terms: np.ndarray,
     window_counts: np.ndarray,
     params: IdwParams,
 ) -> np.ndarray:
     """Descriptor rows from the list terms and the current reconstruction.
 
-    recon_grid is the current (h, w) reconstruction, terms the
-    neighbour_terms of each target row, window_counts the number of
-    measured pixels within Chebyshev radius params.window of each target.
+    recon_grid is the current (h, w) reconstruction, pixels the targets'
+    linear indices (the grid borders come from them alone), terms their
+    neighbour_terms, window_counts the number of measured pixels within
+    Chebyshev radius params.window of each target.
     """
     h, w = recon_grid.shape
     flat = recon_grid.ravel()
-    lin = rows * w + cols
-    has_left, has_right = cols > 0, cols < w - 1
-    has_up, has_down = rows > 0, rows < h - 1
-    left = flat[lin - has_left]
-    right = flat[lin + has_right]
-    up = flat[lin - w * has_up]
-    down = flat[lin + w * has_down]
+    col = pixels % w
+    has_left, has_right = col > 0, col < w - 1
+    has_up, has_down = pixels >= w, pixels < (h - 1) * w
+    left = flat[pixels - has_left]
+    right = flat[pixels + has_right]
+    up = flat[pixels - w * has_up]
+    down = flat[pixels + w * has_down]
     denom_h = has_left.astype(np.float64) + has_right.astype(np.float64)
     denom_v = has_up.astype(np.float64) + has_down.astype(np.float64)
     f1 = np.where(denom_h > 0, np.abs(right - left) / np.maximum(denom_h, 1.0), 0.0)
@@ -183,7 +183,5 @@ def extract_features(
     count = np.array([np.count_nonzero(mset.mask[r0 : r1 + 1, c0 : c1 + 1])], dtype=np.int64)
     values = mset.value_grid().ravel()
     terms = neighbour_terms(comp, values.size, values, recon.values.ravel()[lin])
-    matrix = compute_feature_matrix(
-        recon.values, np.array([s.row]), np.array([s.col]), terms, count, params
-    )
+    matrix = compute_feature_matrix(recon.values, lin, terms, count, params)
     return FeatureVector(location=s, values=matrix[0])

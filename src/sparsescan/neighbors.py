@@ -176,16 +176,16 @@ def insert_measurement(
     new_index: int,
     width: int,
     height: int,
-    active: np.ndarray,
 ) -> np.ndarray:
     """Fold one new measured pixel into existing neighbor lists in place.
 
-    comp is (m, count) sorted composites for the pixels in query_indices;
-    active masks the rows still worth maintaining.  The rows may be any
-    subset of the grid, such as the pixels the new one can reach; a caller
-    that passes copies of its rows writes the changed ones back.  Returns
-    the positions of the rows whose neighbor set changed.  Keeping the best
-    `count` composites under insertion preserves canonical ordering, so
+    comp is (m, count) sorted composites for the pixels in query_indices.
+    The rows may be any subset of the grid, such as the pixels the new one
+    can reach; a caller that passes copies of its rows writes the changed
+    ones back.  A row whose last slot holds -1, as a measured pixel's does,
+    is never entered: -1 is below every composite.  Returns the positions
+    of the rows whose neighbor set changed.  Keeping the best `count`
+    composites under insertion preserves canonical ordering, so
     incrementally maintained lists match a fresh knn_measured call exactly.
     """
     n = width * height
@@ -194,7 +194,7 @@ def insert_measurement(
     qr, qc = np.divmod(query_indices, width)
     d2 = (qr - nr) ** 2 + (qc - nc) ** 2
     new_comp = d2 * np.int64(n) + np.int64(new_index)
-    affected = np.flatnonzero(active & (new_comp < comp[:, -1]))
+    affected = np.flatnonzero(new_comp < comp[:, -1])
     if affected.size:
         block = np.concatenate([comp[affected], new_comp[affected, None]], axis=1)
         block.sort(axis=1)

@@ -84,9 +84,10 @@ def parse_pgm(data: bytes) -> np.ndarray:
 
 
 def write_pgm(path, values: np.ndarray) -> None:
-    """Write a (height, width) uint8 array as a P5 graymap."""
-    with open(path, "wb") as fh:
-        fh.write(serialize_pgm(values))
+    """Write a (height, width) uint8 array as a P5 graymap; a failed write keeps path."""
+    from .core import atomic_write  # core imports this module
+
+    atomic_write(path, serialize_pgm(values))
 
 
 def serialize_pgm(values: np.ndarray) -> bytes:

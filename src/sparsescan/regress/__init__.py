@@ -24,7 +24,6 @@ class ErdModel:
     payload: object
     stats: FeatureStats
     idw: IdwParams
-    schema_version: int = 1
     pretrained: bool = False
     extra: dict = field(default_factory=dict)
 

@@ -13,6 +13,7 @@ import zlib
 
 import numpy as np
 
+from ..core import atomic_write
 from ..features import FeatureStats
 from ..recon import IdwParams
 from .linear import LinearModel
@@ -188,15 +189,14 @@ def deserialize_model(blob: bytes):
         payload=payload,
         stats=stats,
         idw=idw,
-        schema_version=version,
         pretrained=bool(header.get("pretrained", False)),
         extra=dict(header.get("extra", {})),
     )
 
 
 def save_model(model, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize_model(model))
+    """Serialize model, then replace path in one rename; a failed save keeps path."""
+    atomic_write(path, serialize_model(model))
 
 
 def load_model(path):

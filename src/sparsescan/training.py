@@ -17,7 +17,7 @@ import numpy as np
 from .core import (
     GroundTruthImage,
     MeasurementSet,
-    atomic_write_text,
+    atomic_write,
 )
 from .engine import ReconState
 from .features import FEATURE_COUNT, fit_stats, standardize
@@ -92,14 +92,14 @@ class RdEvaluator:
     def __init__(self, image: GroundTruthImage, mset: MeasurementSet, params: IdwParams):
         if (image.width, image.height) != (mset.width, mset.height):
             raise ValueError("image and measurement set dimensions differ")
-        self.state = ReconState(mset, params)
-        if not self.state.active.any():
+        if mset.k == mset.width * mset.height:
             raise ValueError("no unmeasured pixels to evaluate")
+        self.state = ReconState(mset, params)
         self._truth_flat = image.values.ravel()
 
     @property
     def unmeasured(self) -> np.ndarray:
-        return np.flatnonzero(self.state.active)
+        return self.state.mset.unmeasured_indices()
 
     def rd_exact(self, s) -> float:
         """Full-image RD from measuring s at its true value."""
@@ -126,7 +126,7 @@ class RdEvaluator:
         pixels = np.asarray(candidate_indices, dtype=np.int64)
         if np.any((pixels < 0) | (pixels >= self.state.n)):
             raise ValueError("candidates must lie inside the grid")
-        if not np.all(self.state.active[pixels]):
+        if self.state.mset.mask.take(pixels).any():
             raise ValueError("candidates must be unmeasured")
         return self.state.features(pixels)
 
@@ -206,7 +206,7 @@ def save_training_csv(db: TrainingDatabase, path) -> None:
         cells += [repr(float(x)) for x in db.features[i]]
         cells.append(repr(float(db.rd[i])))
         lines.append(",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def train_erd_model(

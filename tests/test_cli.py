@@ -932,12 +932,27 @@ _BAD_OPTIONS = [
     ("eval", "repeats", "0"),
     ("eval", "budget", "2"),
     ("run", "budget", "2"),
+    ("run", "noise_sigma", "nan"),
+    ("run", "noise_sigma", "inf"),
+    ("run", "noise_sigma", "-1"),
+    ("eval", "noise_sigma", "nan"),
+    ("eval", "noise_sigma", "inf"),
+    ("run", "seed", "-1"),
+    ("eval", "seed", "-1"),
+    ("train", "seed", "-1"),
+    ("pretrain", "seed", "-1"),
 ]
+
+
+def _bad_option_id(command, name, value):
+    # the value tells apart the cases that share a command and an option
+    shared = sum((c, n) == (command, name) for c, n, _ in _BAD_OPTIONS) > 1
+    return f"{command}-{name}-{value}" if shared else f"{command}-{name}"
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize(
-    "command, name, value", _BAD_OPTIONS, ids=[f"{c}-{n}" for c, n, _ in _BAD_OPTIONS]
+    "command, name, value", _BAD_OPTIONS, ids=[_bad_option_id(*case) for case in _BAD_OPTIONS]
 )
 def test_bad_option_is_reported_before_a_missing_file(
     tmp_path, command, name, value, source, capsys
@@ -963,6 +978,32 @@ def test_bad_option_is_reported_before_a_missing_file(
     assert run_cli(*argv) == EXIT_USAGE
     assert "file error" not in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == (["bad.cfg"] if source == "config" else [])
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["train", "pretrain", "run", "eval"])
+def test_a_seed_too_large_for_a_float_is_accepted(small_workdir, tmp_path, command, source):
+    # numpy seeds from any non-negative int; one of 400 digits overflows a float
+    root, seed = small_workdir, "9" * 400
+    model, image = root / "m.slnm", root / "test.pgm"
+    argv = [
+        command,
+        *{
+            "train": ["--images", root / "a.pgm", "--out", tmp_path / "m.slnm"],
+            "pretrain": ["--image", root / "a.pgm", "--out", tmp_path / "m.slnm"],
+            "run": ["--model", model, "--image", image, "--out", tmp_path / "run"],
+            "eval": ["--model", model, "--image", image, "--out", tmp_path / "r.csv"],
+        }[command],
+    ]
+    for key, text in _BASE_FLAGS[command].items():
+        argv += [f"--{key.replace('_', '-')}", text]
+    if source == "flag":
+        argv += ["--seed", seed]
+    else:
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(f"seed={seed}\n")
+        argv += ["--config", cfg]
+    assert run_cli(*argv) == EXIT_OK
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]

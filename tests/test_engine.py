@@ -30,7 +30,7 @@ from sparsescan.engine import (
     select_next,
 )
 from sparsescan.features import FeatureStats, extract_features, neighbour_terms
-from sparsescan.recon import IdwParams, reconstruct
+from sparsescan.recon import IdwParams, reconstruct, window_bounds
 from sparsescan.regress import ErdModel, LinearModel, MlpModel, fit_svr, predict_batch
 from sparsescan.regress.mlp import init_params
 from sparsescan.synth import blob_image
@@ -124,6 +124,13 @@ class TestSimulatedSource:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             SimulatedSource(blob_image(size=8, seed=1), noise_sigma=-1.0)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")], ids=("nan", "inf"))
+    def test_non_finite_sigma_rejected(self, sigma):
+        # NaN passes a sign test and would sample without noise; an infinite
+        # sigma would fail only at the first query
+        with pytest.raises(ValueError, match="finite"):
+            SimulatedSource(blob_image(size=8, seed=1), noise_sigma=sigma)
 
     @pytest.mark.parametrize("loc", [(-1, 0), (0, -1), (-1, -1), (6, 0), (0, 8), (6, 8)])
     def test_location_outside_the_grid_rejected(self, loc):
@@ -312,7 +319,7 @@ class TestRunSampling:
         composite slot holds the reach key -1; and the per-row reach and
         score maxima equal their recomputation."""
         h, w = state.height, state.width
-        active = np.flatnonzero(state.active)
+        active = state.mset.unmeasured_indices()
         assert np.all(state.comp[state.mset.measured_indices(), -1] == -1)
         if active.size:
             rebuilt = neighbors.knn_measured(
@@ -324,9 +331,10 @@ class TestRunSampling:
             assert state.terms[active].tobytes() == fresh.tobytes()
         ref = reconstruct(state.mset, state.params).values.ravel()
         assert state.recon_flat.tobytes() == ref.tobytes()
-        reach = np.where(state.active, state.comp[:, -1], -1).reshape(h, w).max(axis=1)
+        unmeasured = ~state.mset.mask
+        reach = np.where(unmeasured, state.comp[:, -1].reshape(h, w), -1).max(axis=1)
         np.testing.assert_array_equal(state.reach, reach)
-        row_max = np.where(state.active, policy.scores, -np.inf).reshape(h, w).max(axis=1)
+        row_max = np.where(unmeasured, policy.scores.reshape(h, w), -np.inf).max(axis=1)
         np.testing.assert_array_equal(policy.row_max, row_max)
 
     @staticmethod
@@ -352,8 +360,8 @@ class TestRunSampling:
             assert (loc, erd.hex()) == (ref_loc, ref_erd.hex()), f"step {mset.k + 1}"
             rebuilt = ReconState(mset, config.idw)
             assert rebuilt.recon_flat.tobytes() == recon.values.tobytes()
-            full = predict_batch(model, rebuilt.features(np.flatnonzero(rebuilt.active)))
-            np.testing.assert_array_equal(policy.scores[state.active], full)
+            full = predict_batch(model, rebuilt.features(mset.unmeasured_indices()))
+            np.testing.assert_array_equal(policy.scores[mset.unmeasured_indices()], full)
             policy.measured(loc, state.measure(loc, float(image.values[loc])))
             erds.append(erd)
         TestRunSampling.assert_caches_match_rebuild(state, policy)
@@ -485,7 +493,8 @@ class TestRunSampling:
         def recording(state, loc, value):
             passed.clear()
             changed = measure(state, loc, value)
-            window = state.active_rows_in_box(loc, state.params.window).size
+            r0, r1, c0, c1 = window_bounds(loc, state.width, state.height, state.params.window)
+            window = np.count_nonzero(~state.mset.mask[r0 : r1 + 1, c0 : c1 + 1])
             steps.append((sum(passed), changed.size, window))
             return changed
 

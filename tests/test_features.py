@@ -141,6 +141,19 @@ class TestDescriptorValues:
                 oracle = straight_line_features(recon.values, mset, s, params)
                 np.testing.assert_allclose(fv.values, oracle, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(2, 5), (5, 2), (3, 3), (5, 7), (7, 5)])
+    def test_every_pixel_of_small_grids_matches_oracle(self, shape):
+        # the batch build takes each border from the linear index alone, so
+        # check every unmeasured pixel of grids whose rows and columns differ
+        h, w = shape
+        params = IdwParams(neighbors=3, window=2)
+        mset, recon = random_case(w, h, 3, h * 10 + w, params)
+        state = ReconState(mset, params)
+        pixels = mset.unmeasured_indices()
+        for row, lin in zip(state.features(pixels), pixels):
+            oracle = straight_line_features(recon.values, mset, divmod(int(lin), w), params)
+            np.testing.assert_allclose(row, oracle, rtol=1e-12, atol=1e-12)
+
     def test_reconstruction_other_than_the_exact_one_matches_oracle(self):
         # in the sampler the value at s is always its list's IDW estimate;
         # here noise moves every value and +300 lifts the value at s above
@@ -188,7 +201,7 @@ class TestBatchMatchesSinglePixel:
         state = ReconState(mset, params)
         assert state.recon_flat.tobytes() == recon.values.tobytes()
         if pixels is None:
-            pixels = np.flatnonzero(state.active)
+            pixels = mset.unmeasured_indices()
         assert pixels.size
         batch = state.features(pixels)
         for row, lin in zip(batch, pixels):

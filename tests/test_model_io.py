@@ -1,6 +1,7 @@
 """Tests for the binary model container: round trips and corruption checks."""
 
 import dataclasses
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -93,7 +94,6 @@ class TestRoundTrip:
             save_model(model, path)
             back = load_model(path)
             assert back.kind == model.kind
-            assert back.schema_version == SCHEMA_VERSION
             assert back.pretrained == model.pretrained
             assert back.extra == model.extra
             np.testing.assert_array_equal(back.stats.means, model.stats.means)
@@ -250,3 +250,41 @@ class TestCorruption:
     def test_load_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_model(tmp_path / "absent.slnm")
+
+
+class TestSave:
+    """A save serializes first and replaces the file in one rename, so a
+    failure at either stage leaves the model it would have replaced."""
+
+    def test_saved_file_gets_the_mode_open_gives(self, tmp_path):
+        # 0o666 less the umask, as for a file open() creates; a temp file
+        # would be 0o600, readable by its owner alone
+        umask = os.umask(0o022)
+        os.umask(umask)
+        save_model(make_lsq_model(), tmp_path / "m.slnm")
+        assert (tmp_path / "m.slnm").stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_unserializable_model_keeps_the_file(self, tmp_path):
+        path = tmp_path / "lsq.slnm"
+        path.write_bytes((COMMITTED_MODELS / "lsq.slnm").read_bytes())
+        before = path.read_bytes()
+        with pytest.raises((AttributeError, TypeError)):
+            save_model("not a model", path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["lsq.slnm"]
+
+    def test_failed_rename_keeps_the_file(self, tmp_path, monkeypatch):
+        import sparsescan.core
+
+        path = tmp_path / "m.slnm"
+        save_model(make_lsq_model(), path)
+        before = path.read_bytes()
+
+        def failing(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(sparsescan.core.os, "replace", failing)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(make_svr_model(), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.slnm"]

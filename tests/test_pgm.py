@@ -107,3 +107,13 @@ class TestErrors:
     def test_writer_rejects_non_uint8(self, tmp_path):
         with pytest.raises((ValueError, TypeError)):
             write_pgm(tmp_path / "x.pgm", np.zeros((2, 2), dtype=np.float64))
+
+    def test_failed_write_keeps_the_file(self, tmp_path, gradient_image):
+        # the pixels are checked before the file is touched
+        path = tmp_path / "x.pgm"
+        write_pgm(path, gradient_image)
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            write_pgm(path, np.zeros((2, 2), dtype=np.float64))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["x.pgm"]

@@ -225,7 +225,7 @@ class TestRdTrials:
     """An RD trial splices the candidate with the sampler's own update, on
     the evaluator's shared state, and must leave that state as it found it."""
 
-    STATE = ("comp", "recon_flat", "terms", "active", "cnt", "reach")
+    STATE = ("comp", "recon_flat", "terms", "cnt", "reach")
 
     def test_trials_write_nothing(self):
         size = 24
