@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 import sys
 import time
 
@@ -31,7 +32,7 @@ from .engine import (
 from .pgm import PgmError
 from .recon import IdwParams
 from .regress import KINDS, prediction_path
-from .regress.mlp import ACTIVATIONS, TrainingDivergedError
+from .regress.mlp import ACTIVATIONS, MlpConfig, TrainingDivergedError
 from .regress.modelio import ModelFormatError, load_model, save_model
 from .synth import generic_texture
 from .training import TrainingSchedule, save_training_csv, train_erd_model
@@ -48,6 +49,13 @@ class UsageError(ValueError):
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad flags; remap to the usage code."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # -inf and -nan read as values, as negative numbers do, for the converter to check
+        self._negative_number_matcher = re.compile(
+            rf"{self._negative_number_matcher.pattern}|^-(?:inf|infinity|nan)$", re.IGNORECASE
+        )
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -120,12 +128,12 @@ _FIT = ("train", "pretrain")
 _SAMPLE = ("run", "eval")
 _OPTION_TABLE = {
     "regressor": (str, "nn", _FIT),
-    "activation": (str, "relu", _FIT),
-    "densities": (_density_list, None, _FIT + _SAMPLE),  # per-command default below
-    "samples_per_level": (int, 500, _FIT),
-    "seed": (_at_least(int, 0), 0, _FIT + _SAMPLE),
-    "initial": (float, 0.01, _SAMPLE),
-    "budget": (float, 0.40, _SAMPLE),
+    "activation": (str, MlpConfig.activation, _FIT),
+    "densities": (_density_list, None, _FIT + _SAMPLE),  # the command's class default
+    "samples_per_level": (int, TrainingSchedule.samples_per_level, _FIT),
+    "seed": (_at_least(int, 0), RunConfig.seed, _FIT + _SAMPLE),
+    "initial": (float, RunConfig.initial_density, _SAMPLE),
+    "budget": (float, RunConfig.budget_density, _SAMPLE),
     "repeats": (_at_least(int, 1), 10, ("eval",)),
     "noise_sigma": (_at_least(float, 0), 0.0, _SAMPLE),
     "window": (int, None, _FIT + _SAMPLE),
@@ -133,9 +141,6 @@ _OPTION_TABLE = {
 }
 # keys run's effective.cfg records but no option reads, accepted so it replays as --config
 _RECORD_ONLY_KEYS = ("model", "image", "matmul")
-
-_TRAIN_DENSITIES = (0.01, 0.05, 0.10, 0.20, 0.30, 0.40)
-_CHECKPOINT_DENSITIES = (0.10, 0.20, 0.30, 0.40)
 
 
 def resolve_options(args) -> None:
@@ -189,7 +194,7 @@ def _fit_and_save(args, pretrained, load_inputs):
         raise UsageError(f"--activation must be relu or identity, got {args.activation!r}")
     params = _resolve_idw(None, args.window, args.neighbors)
     schedule = TrainingSchedule(
-        densities=args.densities or _TRAIN_DENSITIES,
+        densities=args.densities or TrainingSchedule.densities,
         samples_per_level=args.samples_per_level,
         rd_window=params.window,
         seed=args.seed,
@@ -264,7 +269,7 @@ def _run_config(args) -> RunConfig:
         return RunConfig(
             initial_density=args.initial,
             budget_density=args.budget,
-            checkpoint_densities=args.densities or _CHECKPOINT_DENSITIES,
+            checkpoint_densities=args.densities or RunConfig.checkpoint_densities,
             seed=args.seed,
             idw=_resolve_idw(None, args.window, args.neighbors),
         )
@@ -311,10 +316,8 @@ def cmd_run(args) -> int:
 
 
 def _eval_one(task):
-    """One (method, seed) run; module-level so process pools can pickle it."""
-    label, model_path, image_path, noise_sigma, config = task
-    image = load_image(image_path)
-    model = None if model_path is None else load_model(model_path)
+    """One (method, seed) run of loaded inputs; module-level so process pools can pickle it."""
+    label, model, image, noise_sigma, config = task
     source = SimulatedSource(image, noise_sigma=noise_sigma, seed=config.seed)
     try:
         if model is None:
@@ -345,26 +348,19 @@ def cmd_eval(args) -> int:
         )
     workers = resolve_threads()
     run_config = _run_config(args)
-    # validate every model early, before any runs are spent
+    # every input is loaded once, before any runs are spent
     models = {label: None if path is None else load_model(path) for label, path in methods}
     image = load_image(args.image)
-    del image  # existence/format check only; workers reload per run
     _make_parent_dirs(args.out)
     # reconstruction params follow each model unless flags or --config override them
     idws = {
         label: _resolve_idw(model, args.window, args.neighbors) for label, model in models.items()
     }
-    image_path = os.path.abspath(args.image)
+    configs = [dataclasses.replace(run_config, seed=args.seed + r) for r in range(args.repeats)]
     tasks = [
-        (
-            label,
-            path,
-            image_path,
-            args.noise_sigma,
-            dataclasses.replace(run_config, seed=args.seed + r, idw=idws[label]),
-        )
-        for label, path in methods
-        for r in range(args.repeats)
+        (label, model, image, args.noise_sigma, dataclasses.replace(config, idw=idws[label]))
+        for label, model in models.items()
+        for config in configs
     ]
 
     if workers > 1 and len(tasks) > 1:
@@ -408,7 +404,7 @@ def cmd_eval(args) -> int:
         return ";".join(f"{label}:{value(label)}" for label, _ in methods)
 
     pairs = [
-        ("image", image_path),
+        ("image", os.path.abspath(args.image)),
         ("methods", ";".join(label for label, _ in methods)),
         ("initial", run_config.initial_density),
         ("budget", run_config.budget_density),

@@ -162,16 +162,27 @@ class MeasurementSet:
         r, c = int(loc[0]), int(loc[1])
         return 0 <= r < self.height and 0 <= c < self.width and bool(self.mask[r, c])
 
-    def add(self, loc, value: float) -> None:
-        loc = PixelLocation(int(loc[0]), int(loc[1]))
-        if not (0 <= loc.row < self.height and 0 <= loc.col < self.width):
-            raise OutOfBoundsError(f"{loc} outside {self.width}x{self.height} grid")
-        if self.mask[loc.row, loc.col]:
-            raise DuplicateMeasurementError(f"{loc} already measured")
+    def unmeasured_index(self, loc) -> int:
+        """Linear index of loc, the one check that it is an unmeasured pixel of the grid.
+
+        Raises OutOfBoundsError outside the grid and DuplicateMeasurementError if measured.
+        """
+        r, c = int(loc[0]), int(loc[1])
+        if not (0 <= r < self.height and 0 <= c < self.width):
+            raise OutOfBoundsError(f"{PixelLocation(r, c)} outside {self.width}x{self.height} grid")
+        if self.mask[r, c]:
+            raise DuplicateMeasurementError(f"{PixelLocation(r, c)} already measured")
+        return r * self.width + c
+
+    def add(self, loc, value: float) -> int:
+        """Measure value at the unmeasured pixel loc; returns its linear index."""
+        lin = self.unmeasured_index(loc)
+        loc = location_of(lin, self.width)
         value = float(value)
         self.entries.append((loc, value))
-        self.mask[loc.row, loc.col] = True
-        self._value_grid[loc.row, loc.col] = value
+        self.mask[loc] = True
+        self._value_grid[loc] = value
+        return lin
 
     def measured_indices(self) -> np.ndarray:
         """Linear indices of measured pixels in ascending order."""

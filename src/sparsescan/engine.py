@@ -66,6 +66,7 @@ class SimulatedSource:
         if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
         self.image = image
+        self.width, self.height = image.width, image.height
         self.noise_sigma = float(noise_sigma)
         self.seed = int(seed)
         if self.noise_sigma > 0.0:
@@ -73,14 +74,6 @@ class SimulatedSource:
             self._noise = rng.normal(0.0, self.noise_sigma, (image.height, image.width))
         else:
             self._noise = np.zeros((image.height, image.width))
-
-    @property
-    def width(self) -> int:
-        return self.image.width
-
-    @property
-    def height(self) -> int:
-        return self.image.height
 
     def value(self, s) -> float:
         if not (0 <= s[0] < self.height and 0 <= s[1] < self.width):
@@ -264,15 +257,6 @@ class ReconState:
         pixels = np.arange(lengths.sum()) + np.repeat(starts, lengths)
         return pixels[~self.mset.mask.ravel()[pixels]]
 
-    def row(self, loc) -> int:
-        """Linear index of the unmeasured pixel at loc."""
-        loc = PixelLocation(int(loc[0]), int(loc[1]))
-        if not (0 <= loc.row < self.height and 0 <= loc.col < self.width):
-            raise ValueError(f"{loc} outside {self.width}x{self.height} grid")
-        if loc in self.mset:
-            raise ValueError(f"{loc} is already measured")
-        return linear_index(loc, self.width)
-
     def reconstruction(self) -> Reconstruction:
         return Reconstruction(
             width=self.width,
@@ -310,8 +294,7 @@ class ReconState:
 
     def measure(self, loc, value: float) -> np.ndarray:
         """Add a measurement; returns the pixels whose neighbour lists changed."""
-        lin = self.row(loc)
-        self.mset.add(loc, value)
+        lin = self.mset.add(loc, value)
         self.comp[lin, -1] = -1
         self.recon_flat[lin] = value
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import neighbors
-from .core import MeasurementSet, PixelLocation, Reconstruction, linear_index
+from .core import MeasurementSet, PixelLocation, Reconstruction, location_of
 from .recon import IdwParams, window_bounds
 
 FEATURE_COUNT = 6
@@ -156,8 +156,9 @@ def compute_feature_matrix(
     down = flat[pixels + w * has_down]
     denom_h = has_left.astype(np.float64) + has_right.astype(np.float64)
     denom_v = has_up.astype(np.float64) + has_down.astype(np.float64)
-    f1 = np.where(denom_h > 0, np.abs(right - left) / np.maximum(denom_h, 1.0), 0.0)
-    f2 = np.where(denom_v > 0, np.abs(down - up) / np.maximum(denom_v, 1.0), 0.0)
+    # a 0 denominator means a 1-pixel axis: both sides read s, and +0.0 / 1.0 is 0.0
+    f1 = np.abs(right - left) / np.maximum(denom_h, 1.0)
+    f2 = np.abs(down - up) / np.maximum(denom_v, 1.0)
     area = float((2 * params.window + 1) ** 2)
     f6 = window_counts.astype(np.float64) / area
     return np.column_stack([f1, f2, terms, f6])
@@ -169,13 +170,8 @@ def extract_features(
     """Descriptor for one unmeasured pixel against the current reconstruction."""
     if (recon.width, recon.height) != (mset.width, mset.height):
         raise ValueError("reconstruction and measurement set dimensions differ")
-    s = PixelLocation(int(s[0]), int(s[1]))
-    if not (0 <= s.row < mset.height and 0 <= s.col < mset.width):
-        raise ValueError(f"{s} outside {mset.width}x{mset.height} grid")
-    if mset.mask[s.row, s.col]:
-        raise ValueError(f"{s} is already measured")
-
-    lin = np.array([linear_index(s, mset.width)], dtype=np.int64)
+    lin = np.array([mset.unmeasured_index(s)], dtype=np.int64)
+    s = location_of(int(lin[0]), mset.width)
     comp = neighbors.knn_measured(
         lin, mset.measured_indices(), mset.width, mset.height, params.neighbors
     )

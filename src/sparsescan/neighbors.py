@@ -39,26 +39,19 @@ def check_grid_capacity(width: int, height: int) -> None:
         raise ValueError(f"grid {width}x{height} too large for composite keys")
 
 
-def decode(comp: np.ndarray, n: int):
-    """Split composites into (d2, index, valid); invalid slots get d2=1, idx=0."""
-    valid = comp < SENTINEL
-    # an invalid slot decodes as the composite n: d2 = 1, index 0
-    safe = np.where(valid, comp, np.int64(n))
-    d2 = safe // n
-    return d2, safe - d2 * n, valid
-
-
 def decode_lists(comp: np.ndarray, n: int):
-    """decode for rows of sorted lists, with valid None when no list holds a pad.
+    """Split rows of sorted composites into (d2, index, valid); a pad decodes as n: d2 1, index 0.
 
-    Pads trail each sorted list, so its last column decides.  Once every
-    list is full, as at k >= count measured pixels, callers skip the pad
-    masks; a masked slot only adds 0.0, so both paths give the same bits.
+    Pads trail each sorted list, so its last column decides.  Once every list
+    is full, as at k >= count measured pixels, valid is None and callers skip
+    the pad masks; a masked slot only adds 0.0, so both paths give the same bits.
     """
-    if comp[:, -1].max(initial=0) < SENTINEL:
-        d2 = comp // n
-        return d2, comp - d2 * n, None
-    return decode(comp, n)
+    valid = None
+    if comp[:, -1].max(initial=0) >= SENTINEL:
+        valid = comp < SENTINEL
+        comp = np.where(valid, comp, np.int64(n))
+    d2 = comp // n
+    return d2, comp - d2 * n, valid
 
 
 def zero_pads(a: np.ndarray, valid) -> np.ndarray:

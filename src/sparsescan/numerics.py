@@ -10,8 +10,7 @@ shape, so a row's bits change with the rows around it.  Three techniques avoid t
   whole tiles of ``MATMUL_TILE`` rows and stacked as (tiles, MATMUL_TILE,
   k); one ``np.matmul`` over the stack runs one BLAS product of the same
   (MATMUL_TILE, k) @ (k, n) shape per tile, so every call runs the same
-  kernel on the same tile shape.  ``stable_matmul`` is the same product
-  for a plain (m, k) matrix.
+  kernel on the same tile shape.
 - SVR prediction (``regress.svr.predict_svr``) turns the tile round: a slab
   of ``ROW_TILE`` support-vector rows, each extended by two terms, is the
   left operand and up to ``ROW_TILE`` query rows, each extended likewise,
@@ -40,7 +39,7 @@ import math
 import numpy as np
 
 ROW_TILE = 256  # query columns per SVR column tile, support vectors per slab
-MATMUL_TILE = 64  # rows per BLAS tile of stable_matmul and tile_product
+MATMUL_TILE = 64  # rows per BLAS tile of tile_product
 
 # Pixels per block of a full-image build (neighbour search, re-estimation,
 # scoring, distortion sums).  Every row is computed on its own, so results do
@@ -86,13 +85,6 @@ def tile_product(h: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tiled(a: np.ndarray, b: np.ndarray, product) -> np.ndarray:
-    """(m, k) @ (k, n) as product(tiles, b, out) over the zero-padded row tiles of a."""
-    h = row_tiles(a)
-    out = np.empty((h.shape[0], MATMUL_TILE, b.shape[1]))
-    return product(h, b, out).reshape(-1, b.shape[1])[: a.shape[0]]
-
-
 def _position_invariant(tiles, a: np.ndarray) -> bool:
     """Self-test of a tiled computation: tiles(a) has one result row per row of a.
 
@@ -118,17 +110,17 @@ def _tiles_row_invariant(k: int, n: int) -> bool:
     rng = np.random.default_rng(0)
     a = rng.standard_normal((MATMUL_TILE, k))
     b = rng.standard_normal((k, n))
-    return _position_invariant(lambda rows: _tiled(rows, b, _tile_matmul), a)
+
+    def product(rows):
+        h = row_tiles(rows)
+        return _tile_matmul(h, b, np.empty((len(h), MATMUL_TILE, n))).reshape(-1, n)[: len(rows)]
+
+    return _position_invariant(product, a)
 
 
 def matmul_path(k: int, n: int) -> str:
     """Which path ``tile_product`` takes for (k, n) weights."""
     return f"blas-tile{MATMUL_TILE}" if _tiles_row_invariant(k, n) else "einsum"
-
-
-def stable_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(m, k) @ (k, n) with batch-composition-stable rounding."""
-    return _tiled(np.asarray(a, dtype=np.float64), b, tile_product)
 
 
 def stable_matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:

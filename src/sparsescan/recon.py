@@ -62,18 +62,15 @@ def nearest_measured(mset: MeasurementSet, loc, count: int):
     """
     if not (0 <= loc[0] < mset.height and 0 <= loc[1] < mset.width):
         raise ValueError(f"{tuple(loc)} outside {mset.width}x{mset.height} grid")
-    n = mset.width * mset.height
     q = np.array([linear_index(PixelLocation(*loc), mset.width)], dtype=np.int64)
     comp = neighbors.knn_measured(q, mset.measured_indices(), mset.width, mset.height, count)
-    d2, idx, valid = neighbors.decode(comp, n)
-    grid = mset.value_grid()
-    out = []
-    for j in range(comp.shape[1]):
-        if not valid[0, j]:
-            break
-        pix = location_of(int(idx[0, j]), mset.width)
-        out.append((pix, float(grid[pix.row, pix.col]), float(np.sqrt(float(d2[0, j])))))
-    return out
+    d2, idx, valid = neighbors.decode_lists(comp, mset.width * mset.height)
+    real = comp.shape[1] if valid is None else np.count_nonzero(valid)  # pads trail
+    values = mset.value_grid().ravel()
+    return [
+        (location_of(int(i), mset.width), float(values[i]), float(np.sqrt(float(d))))
+        for d, i in zip(d2[0, :real], idx[0, :real])
+    ]
 
 
 def reconstruct(mset: MeasurementSet, params: IdwParams) -> Reconstruction:

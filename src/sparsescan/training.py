@@ -110,7 +110,7 @@ class RdEvaluator:
         if halfwidth < 1:
             raise ValueError("window halfwidth must be >= 1")
         st = self.state
-        lin = st.row(s)
+        lin = st.mset.unmeasured_index(s)
         value = float(self._truth_flat[lin])
         r0, r1, c0, c1 = window_bounds(divmod(lin, st.width), st.width, st.height, halfwidth)
         win = (np.arange(r0, r1 + 1)[:, None] * st.width + np.arange(c0, c1 + 1)[None, :]).ravel()
@@ -214,9 +214,9 @@ def train_erd_model(
     schedule: TrainingSchedule,
     params: IdwParams,
     kind: str,
-    activation: str = "relu",
+    activation: str = MlpConfig.activation,
     seed: int = 0,
-    epochs: int = 500,
+    epochs: int = MlpConfig.epochs,
     pretrained: bool = False,
     extra: dict = None,
     image_ids=None,

@@ -7,12 +7,14 @@ import struct
 import subprocess
 import sys
 import zlib
+from collections import Counter
 from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sparsescan import cli
 from sparsescan.cli import (
     _OPTION_TABLE,
     EXIT_IO,
@@ -718,6 +720,31 @@ class TestEval:
         assert run_cli(*args) == EXIT_USAGE
         capsys.readouterr()
 
+    def test_inputs_are_loaded_once(self, workdir, tmp_path, monkeypatch, capsys):
+        # two models, a random baseline and two repeats, run serially: each
+        # file is read once, and every run takes the loaded objects
+        loads = Counter()
+
+        def counted(load):
+            def wrapper(path):
+                loads[Path(path).name] += 1
+                return load(path)
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "load_model", counted(cli.load_model))
+        monkeypatch.setattr(cli, "load_image", counted(cli.load_image))
+        save_model(small_svr_model(), tmp_path / "svr.slnm")
+        argv = self.eval_args(workdir, tmp_path / "report.csv")
+        argv[argv.index("--model") + 1 : argv.index("--model") + 2] = [
+            tmp_path / "svr.slnm",
+            workdir / "m.slnm",
+        ]
+        assert run_cli(*argv) == EXIT_OK
+        assert loads == {"svr.slnm": 1, "m.slnm": 1, "test_img.pgm": 1}
+        assert len((tmp_path / "report.csv").read_text().splitlines()) == 1 + 3 * 2
+        capsys.readouterr()
+
     def test_bad_model_fails_before_any_runs(self, workdir, tmp_path, capsys):
         rc = run_cli(
             "eval",
@@ -937,6 +964,14 @@ _BAD_OPTIONS = [
     ("run", "noise_sigma", "-1"),
     ("eval", "noise_sigma", "nan"),
     ("eval", "noise_sigma", "inf"),
+    # argparse reads these as values, not as flags, so the converter or
+    # RunConfig rejects them (test_negative_non_finite_flag_values_reach_the_check)
+    ("run", "noise_sigma", "-inf"),
+    ("run", "noise_sigma", "-NaN"),
+    ("run", "initial", "-inf"),
+    ("eval", "noise_sigma", "-inf"),
+    ("eval", "noise_sigma", "-NaN"),
+    ("eval", "initial", "-inf"),
     ("run", "seed", "-1"),
     ("eval", "seed", "-1"),
     ("train", "seed", "-1"),
@@ -978,6 +1013,28 @@ def test_bad_option_is_reported_before_a_missing_file(
     assert run_cli(*argv) == EXIT_USAGE
     assert "file error" not in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == (["bad.cfg"] if source == "config" else [])
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--noise-sigma", "-inf", "--noise-sigma: expected a finite value >= 0, got '-inf'"),
+        ("--noise-sigma", "-NaN", "--noise-sigma: expected a finite value >= 0, got '-NaN'"),
+        ("--initial", "-inf", "need 0 < initial_density <= budget_density <= 1"),
+    ],
+    ids=["noise_sigma--inf", "noise_sigma--NaN", "initial--inf"],
+)
+def test_negative_non_finite_flag_values_reach_the_check(
+    tmp_path, command, flag, value, message, capsys
+):
+    # argparse takes a flag-like -inf for a missing value ("expected one
+    # argument") unless its private matcher of negative numbers is widened,
+    # so this holds on every Python the package supports
+    absent = ["--model", tmp_path / "absent.slnm", "--image", tmp_path / "absent.pgm"]
+    assert run_cli(command, *absent, "--out", tmp_path / "out", flag, value) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert message in err and "expected one argument" not in err
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

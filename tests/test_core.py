@@ -86,6 +86,17 @@ class TestMeasurementSet:
         with pytest.raises(OutOfBoundsError):
             mset.add((0, 4), 1.0)
 
+    def test_unmeasured_index_checks_a_location_once_for_every_caller(self, mset):
+        assert mset.unmeasured_index((2, 3)) == 2 * 4 + 3
+        assert mset.unmeasured_index(PixelLocation(1, 0)) == 4
+        assert mset.add((1, 2), 5.0) == 1 * 4 + 2  # add returns the index it checked
+        with pytest.raises(DuplicateMeasurementError):
+            mset.unmeasured_index((1, 2))
+        for loc in [(-1, 0), (3, 0), (0, -1), (0, 4)]:
+            with pytest.raises(OutOfBoundsError):
+                mset.unmeasured_index(loc)
+        assert mset.k == 1 and mset.mask.sum() == 1  # a check measures nothing
+
     def test_out_of_grid_location_is_not_measured(self, mset):
         mset.add((2, 0), 1.0)
         assert (2, 0) in mset

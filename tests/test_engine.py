@@ -10,8 +10,10 @@ import pytest
 from sparsescan import engine, neighbors, numerics
 from sparsescan.core import (
     PSNR_CAP_DB,
+    DuplicateMeasurementError,
     GroundTruthImage,
     MeasurementSet,
+    OutOfBoundsError,
     PixelLocation,
     Reconstruction,
     psnr,
@@ -34,7 +36,7 @@ from sparsescan.recon import IdwParams, reconstruct, window_bounds
 from sparsescan.regress import ErdModel, LinearModel, MlpModel, fit_svr, predict_batch
 from sparsescan.regress.mlp import init_params
 from sparsescan.synth import blob_image
-from sparsescan.training import TrainingSchedule, train_erd_model
+from sparsescan.training import RdEvaluator, TrainingSchedule, train_erd_model
 
 PARAMS = IdwParams(neighbors=10, power=2.0, window=15)
 
@@ -142,6 +144,32 @@ class TestSimulatedSource:
             src.value(loc)
         with pytest.raises(SourceQueryError, match="step 3"):
             engine._query(src, loc, 3)
+
+
+class TestLocationCheck:
+    """Each entry point that takes an unmeasured pixel checks it through
+    MeasurementSet.unmeasured_index, so all raise the same two errors."""
+
+    @pytest.mark.parametrize("name", ["measure", "rd_windowed", "rd_exact", "extract_features"])
+    def test_measured_and_outside_pixels_rejected(self, name):
+        # 6 rows x 8 columns, so a swapped bound shows
+        image = GroundTruthImage.from_array(blob_image(size=8, seed=1).values[:6])
+        mset = seeded_mask(image, 5, seed=0)
+        call = {
+            "measure": lambda loc: ReconState(mset.copy(), PARAMS).measure(loc, 1.0),
+            "rd_windowed": lambda loc: RdEvaluator(image, mset, PARAMS).rd_windowed(loc, 3),
+            "rd_exact": lambda loc: RdEvaluator(image, mset, PARAMS).rd_exact(loc),
+            "extract_features": lambda loc: extract_features(
+                reconstruct(mset, PARAMS), mset, loc, PARAMS
+            ),
+        }[name]
+        measured = divmod(int(mset.measured_indices()[0]), 8)
+        with pytest.raises(DuplicateMeasurementError):
+            call(measured)
+        for loc in [(-1, 0), (0, -1), (6, 0), (0, 8)]:
+            with pytest.raises(OutOfBoundsError):
+                call(loc)
+        assert mset.k == 5
 
 
 class TestRunConfig:
@@ -830,7 +858,7 @@ class TestBlockSize:
 
 
 class TestSetupMemory:
-    """A full-image build keeps about 121 bytes a pixel; its temporaries
+    """A full-image build keeps about 120 bytes a pixel; its temporaries
     must not grow with the image the way the kept arrays do."""
 
     @staticmethod
@@ -851,9 +879,9 @@ class TestSetupMemory:
         assert self.transient_mb(lambda: reconstruct(mset, PARAMS)) < 16
         assert self.transient_mb(lambda: ReconState(mset, PARAMS)) < 16
 
-    def test_recon_state_keeps_about_121_bytes_a_pixel_at_256(self):
-        # neighbour keys 80, f3-f5 24, reconstruction 8, window counts 8 and
-        # the unmeasured mask 1: 7.6 MB for 65,536 pixels
+    def test_recon_state_keeps_about_120_bytes_a_pixel_at_256(self):
+        # neighbour keys 80, f3-f5 24, reconstruction 8 and window counts 8:
+        # 7.5 MB for 65,536 pixels
         image = blob_image(256, seed=7)
         mset = seeded_mask(image, math.ceil(0.01 * image.pixel_count), seed=1)
         tracemalloc.start()

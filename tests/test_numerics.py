@@ -21,11 +21,19 @@ from sparsescan.numerics import (
     exact_abs_sum,
     matmul_path,
     quantize_u8,
+    row_tiles,
     stable_cross_sq_dists,
-    stable_matmul,
     stable_matvec,
+    tile_product,
 )
 from sparsescan.regress import svr
+
+
+def stable_matmul(a, b):
+    """(m, k) @ (k, n) through row_tiles and tile_product, the product mlp.forward runs."""
+    h = row_tiles(np.asarray(a, dtype=np.float64))
+    out = np.empty((h.shape[0], MATMUL_TILE, b.shape[1]))
+    return tile_product(h, b, out).reshape(-1, b.shape[1])[: len(a)]
 
 
 class TestRowStability:
@@ -118,7 +126,7 @@ def _position_dependent(h, w, out):
 
 
 class TestTiledMatmul:
-    """stable_matmul runs stacked fixed-shape BLAS tiles behind a self-test."""
+    """tile_product runs stacked fixed-shape BLAS tiles behind a self-test."""
 
     @pytest.mark.parametrize("k, n", [(6, 50), (50, 50), (50, 1)])
     def test_mlp_weight_shapes_take_the_tiled_path(self, k, n):

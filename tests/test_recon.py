@@ -36,6 +36,12 @@ def brute_force_knn(query_lin, measured, width, count):
     return ranked[:count]
 
 
+def decode_masked(comp, n):
+    """neighbors.decode_lists, with an all-true mask where it returns None (no pads)."""
+    d2, idx, valid = neighbors.decode_lists(comp, n)
+    return d2, idx, np.ones(comp.shape, dtype=bool) if valid is None else valid
+
+
 def random_mset(width, height, k, seed, value_rng=None):
     rng = np.random.default_rng(seed)
     chosen = rng.choice(width * height, size=k, replace=False)
@@ -54,7 +60,7 @@ class TestNeighborSearch:
             measured = mset.measured_indices()
             queries = mset.unmeasured_indices()
             comp = neighbors.knn_measured(queries, measured, 32, 32, 10)
-            d2, idx, valid = neighbors.decode(comp, 32 * 32)
+            d2, idx, valid = decode_masked(comp, 32 * 32)
             check_rows = np.random.default_rng(seed + 100).choice(
                 queries.size, size=40, replace=False
             )
@@ -66,7 +72,7 @@ class TestNeighborSearch:
     @staticmethod
     def assert_every_row_canonical(queries, measured, width, height, count):
         comp = neighbors.knn_measured(queries, measured, width, height, count)
-        d2, idx, valid = neighbors.decode(comp, width * height)
+        d2, idx, valid = decode_masked(comp, width * height)
         for row, q in enumerate(queries):
             got = list(zip(d2[row][valid[row]].tolist(), idx[row][valid[row]].tolist()))
             assert got == brute_force_knn(q, measured, width, count), int(q)
@@ -172,7 +178,7 @@ class TestNeighborSearch:
         mset = random_mset(16, 16, 3, 0)
         queries = mset.unmeasured_indices()
         comp = neighbors.knn_measured(queries, mset.measured_indices(), 16, 16, 10)
-        d2, idx, valid = neighbors.decode(comp, 256)
+        d2, idx, valid = decode_masked(comp, 256)
         assert np.all(valid.sum(axis=1) == 3)
         assert np.all(d2[~valid] == 1) and np.all(idx[~valid] == 0)
 
