@@ -141,10 +141,12 @@ def knn_measured(
     the block, so temporaries stay bounded.  Every list is exact, so the
     result does not depend on the block size or on the grouping.
 
-    A build needs at least one measured pixel and a grid whose composites
-    fit below SENTINEL; either failing raises ValueError, so callers need
-    not check them.
+    A build needs a count of at least 1, at least one measured pixel and a
+    grid whose composites fit below SENTINEL; any failing raises ValueError,
+    so callers need not check them.
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     check_grid_capacity(width, height)
     measured_indices = np.asarray(measured_indices, dtype=np.int64)
     query_indices = np.asarray(query_indices, dtype=np.int64)

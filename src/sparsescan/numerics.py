@@ -17,9 +17,11 @@ shape, so a row's bits change with the rows around it.  Three techniques avoid t
   are the zero-padded columns of the right one, so the product is already
   -gamma * d2.  Each block of queries fills its column tile once and runs
   every slab through one cache-resident buffer whose first row carries the
-  coefficient sum.  A row tile of the plain cross product, (ROW_TILE, t) @
-  (t, support vectors), is not row-position invariant on the OpenBLAS this
-  was measured with; the column tile is.
+  coefficient sum.  A call's last block pads its tile only to a multiple of
+  64 columns, and a slab is clamped at 0 only when a value in it is above 0
+  or NaN.  A row tile of the plain cross product, (ROW_TILE, t) @ (t,
+  support vectors), is not row-position invariant on the OpenBLAS this was
+  measured with; the column tile is, at widths 64, 128, 192 and 256.
 - ``stable_matvec`` (lsq) and ``stable_cross_sq_dists`` (SVR training, and
   SVR prediction where the column tile fails its self-test) use ``einsum``,
   whose per-element reduction order depends only on the contracted length.
@@ -29,7 +31,8 @@ built on ``_position_invariant``: a result row, or column, must not depend on
 its position in a tile or on the other rows in it.  Each test runs the
 product that prediction runs, over two tiles in one call.  The row tile's
 test is here; the SVR test (``regress.svr.slab_path``) runs the slab loop
-itself.  A shape that fails falls back to ``einsum``.
+itself, once for each narrowed width of a last tile.  A shape that fails
+falls back to ``einsum``.
 """
 
 import functools
@@ -38,7 +41,7 @@ import math
 
 import numpy as np
 
-ROW_TILE = 256  # query columns per SVR column tile, support vectors per slab
+ROW_TILE = 256  # query columns per full SVR column tile, support vectors per slab
 MATMUL_TILE = 64  # rows per BLAS tile of tile_product
 
 # Pixels per block of a full-image build (neighbour search, re-estimation,
@@ -85,16 +88,17 @@ def tile_product(h: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _position_invariant(tiles, a: np.ndarray) -> bool:
+def _position_invariant(tiles, a: np.ndarray, part: int = None) -> bool:
     """Self-test of a tiled computation: tiles(a) has one result row per row of a.
 
     a holds one tile of rows.  One call of two tiles, a full tile of permuted
-    rows and a padded tile of some of the same rows permuted, must give every
-    row the bits it gets in a single unpermuted full tile.
+    rows and a padded tile of `part` of the same rows permuted (a third of a
+    tile when not given), must give every row the bits it gets in a single
+    unpermuted full tile.
     """
     rng = np.random.default_rng(1)
     tile = a.shape[0]
-    part = tile // 3
+    part = tile // 3 if part is None else part
     perm = rng.permutation(tile)
     perm_part = rng.permutation(part)
     full = tiles(a)

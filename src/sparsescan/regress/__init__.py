@@ -65,9 +65,11 @@ def prediction_path(model: ErdModel) -> str:
 
     nn layers go through tile_product, one stacked product per layer over
     tiles of MATMUL_TILE rows (``blas-tile64``, or ``einsum`` for a weight
-    shape whose self-test failed); svr's kernel goes through column tiles of
-    (256, features + 2) slabs (``blas-coltile256``, or ``einsum`` when the
-    slab loop failed its self-test); lsq always uses einsum.
+    shape whose self-test failed); svr's kernel goes through (256, features
+    + 2) slabs against column tiles of 256 query columns, a call's last tile
+    cut to a multiple of 64 (``blas-coltile256``, or ``einsum`` when the
+    slab loop failed its self-test at any of those widths); lsq always uses
+    einsum.
     """
     if model.kind == "nn":
         return "+".join(sorted({matmul_path(*w.shape) for w in model.payload.weights}))

@@ -19,6 +19,8 @@ from ..numerics import ROW_TILE, _position_invariant, stable_cross_sq_dists
 
 _TAU = 1e-12
 
+TAIL_STEP = 64  # a call's last column tile is cut to whole steps of this many columns
+
 
 @dataclass(frozen=True)
 class SvrModel:
@@ -177,7 +179,9 @@ def slab_path(t: int) -> str:
 
     The self-test runs the slab loop itself on a random model of ROW_TILE + 1
     support vectors, so the carried sum crosses a slab edge: each query must
-    get the same bits wherever it sits among the others.
+    get the same bits wherever it sits among the others.  It runs once for
+    each width a last block can take below ROW_TILE (64, 128 and 192
+    columns), each against the same full ROW_TILE-column tile.
     """
     rng = np.random.default_rng(0)
     model = SvrModel(
@@ -189,7 +193,13 @@ def slab_path(t: int) -> str:
         epsilon=0.1,
     )
     queries = rng.standard_normal((ROW_TILE, t))
-    if _position_invariant(lambda rows: _predict_slabs(model, rows), queries):
+
+    def slabs(rows):
+        return _predict_slabs(model, rows)
+
+    # one padded tile for each width below ROW_TILE, a third of a step short
+    widths = range(TAIL_STEP, ROW_TILE, TAIL_STEP)
+    if all(_position_invariant(slabs, queries, w - TAIL_STEP // 3) for w in widths):
         return f"blas-coltile{ROW_TILE}"
     return "einsum"
 
@@ -199,20 +209,23 @@ def predict_svr(model: SvrModel, v: np.ndarray) -> np.ndarray:
 
     BLAS computes -gamma * d2 itself: with left rows [2 gamma sv_i,
     -gamma |sv_i|^2, -gamma] and right columns [v_j; 1; |v_j|^2], the
-    product is -gamma (|sv_i|^2 + |v_j|^2 - 2 sv_i . v_j).  Each block of up
-    to ROW_TILE query rows fills one such tile of columns, the last block's
-    padded columns zero, and runs through one (ROW_TILE + 1, ROW_TILE)
-    buffer that stays in cache: for each slab of ROW_TILE support vectors
-    (the last slab's rows zero-padded), one (ROW_TILE, t + 2) @ (t + 2,
-    ROW_TILE) product fills rows 1 onwards; the support vectors' rows are
-    clamped at 0 (rounding can leave them slightly positive) and
-    exponentiated; and row 0, which carries the coefficient sum, becomes
-    row 0 plus those rows times their coefficients.  einsum("ij,i->j") adds
-    the rows in order, so carrying the sum gives each column the bits of
-    one einsum over all the support vectors' rows.  Every product has one
-    shape and a query's bits depend only on its own column.  When the slab
-    loop fails its self-test (slab_path), prediction keeps the einsum
-    blocks, whose rows do not depend on the block they are computed in.
+    product is -gamma (|sv_i|^2 + |v_j|^2 - 2 sv_i . v_j).  Each block of
+    ROW_TILE query rows fills one tile of ROW_TILE columns; the last block
+    fills a tile of the next multiple of TAIL_STEP columns at or above its
+    rows (at most ROW_TILE), its padded columns zero.  The tile runs through
+    one (ROW_TILE + 1, width) buffer that stays in cache: for each slab of
+    ROW_TILE support vectors (the last slab's rows zero-padded), one
+    (ROW_TILE, t + 2) @ (t + 2, width) product fills rows 1 onwards; the
+    support vectors' rows are clamped at 0 when any of them is above 0 or
+    NaN (rounding can leave them slightly positive; a clamp that changes no
+    value is skipped) and exponentiated; and row 0, which carries the
+    coefficient sum, becomes row 0 plus those rows times their
+    coefficients.  einsum("ij,i->j") adds the rows in order, so carrying
+    the sum gives each column the bits of one einsum over all the support
+    vectors' rows.  A query's bits depend only on its own column, whatever
+    the tile's width, which slab_path checks for every width.  When the
+    slab loop fails its self-test, prediction keeps the einsum blocks,
+    whose rows do not depend on the block they are computed in.
     """
     if slab_path(model.support_vectors.shape[1]) == "einsum":
         return _predict_einsum_blocks(model, v)
@@ -220,7 +233,11 @@ def predict_svr(model: SvrModel, v: np.ndarray) -> np.ndarray:
 
 
 def _predict_slabs(model: SvrModel, v: np.ndarray) -> np.ndarray:
-    """predict_svr through the slab loop, the path slab_path self-tests."""
+    """predict_svr through the slab loop, the path slab_path self-tests.
+
+    Full blocks take ROW_TILE columns and the last block the fewest whole
+    TAIL_STEP columns that hold it, so a small batch computes a narrow tile.
+    """
     sv = model.support_vectors
     nsv, t = sv.shape
     gamma = model.gamma
@@ -232,12 +249,17 @@ def _predict_slabs(model: SvrModel, v: np.ndarray) -> np.ndarray:
     # weights[s] multiplies buffer rows [carried sum, slab s]
     weights = np.ones((nslab, ROW_TILE + 1))
     weights[:, 1:] = np.pad(model.coefficients, (0, nslab * ROW_TILE - nsv)).reshape(nslab, -1)
-    tile = np.empty((t + 2, ROW_TILE))
-    buf = np.empty((ROW_TILE + 1, ROW_TILE))
+    # a narrower block views the front of the same storage as a C-contiguous
+    # (rows, width) array, so every product writes a whole array
+    tile_store = np.empty((t + 2) * ROW_TILE)
+    buf_store = np.empty((ROW_TILE + 1) * ROW_TILE)
     out = np.empty(v.shape[0])
     for start in range(0, v.shape[0], ROW_TILE):
         block = v[start : start + ROW_TILE]
         rows = block.shape[0]
+        width = min(ROW_TILE, -(-rows // TAIL_STEP) * TAIL_STEP)
+        tile = tile_store[: (t + 2) * width].reshape(t + 2, width)
+        buf = buf_store[: (ROW_TILE + 1) * width].reshape(ROW_TILE + 1, width)
         tile[:t, :rows] = block.T
         tile[t, :rows] = 1.0
         tile[t + 1, :rows] = np.einsum("ij,ij->i", block, block)
@@ -247,7 +269,9 @@ def _predict_slabs(model: SvrModel, v: np.ndarray) -> np.ndarray:
             stop = 1 + min(ROW_TILE, nsv - s * ROW_TILE)  # buffer rows in use
             np.matmul(left[s * ROW_TILE : (s + 1) * ROW_TILE], tile, out=buf[1:])
             slab = buf[1:stop]
-            np.minimum(slab, 0.0, out=slab)
+            # skipped only when every value is at most 0; max is NaN if any value is
+            if not slab.max() <= 0.0:
+                np.minimum(slab, 0.0, out=slab)
             np.exp(slab, out=slab)
             buf[0] = np.einsum("ij,i->j", buf[:stop], weights[s, :stop])
         out[start : start + rows] = buf[0, :rows]

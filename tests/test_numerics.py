@@ -210,6 +210,23 @@ class TestColumnTiles:
         monkeypatch.setattr(svr, "_predict_slabs", position_dependent)
         assert svr.slab_path(8) == "einsum"
 
+    @pytest.mark.parametrize("width", [64, 128, 192])
+    def test_self_test_checks_every_narrowed_width(self, fresh_self_test, monkeypatch, width):
+        # a slab loop that goes wrong only when a call's last tile is cut to
+        # `width` columns must fail the self-test, and only that width
+        assert list(range(svr.TAIL_STEP, ROW_TILE, svr.TAIL_STEP)) == [64, 128, 192]
+        slabs = svr._predict_slabs
+
+        def wrong_at_width(model, v):
+            got = slabs(model, v)
+            tail = v.shape[0] % ROW_TILE
+            if -(-tail // svr.TAIL_STEP) * svr.TAIL_STEP == width:
+                got[-tail:] += np.arange(tail) * 1e-9
+            return got
+
+        monkeypatch.setattr(svr, "_predict_slabs", wrong_at_width)
+        assert svr.slab_path(8) == "einsum"
+
 
 class TestExactAbsSum:
     def test_matches_fraction_arithmetic(self):

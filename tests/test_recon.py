@@ -4,6 +4,11 @@ The neighbor oracle is an exhaustive sort over all measured pixels using
 integer squared distances, so it has no floating-point or tie ambiguity.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -181,6 +186,37 @@ class TestNeighborSearch:
         d2, idx, valid = decode_masked(comp, 256)
         assert np.all(valid.sum(axis=1) == 3)
         assert np.all(d2[~valid] == 1) and np.all(idx[~valid] == 0)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_raises_in_both_entry_points(self, count):
+        # cKDTree.query(k=[0]) ends the process with a segmentation fault, so
+        # the calls run in a child process: a regression fails this test
+        # rather than killing the test run
+        script = f"""
+import numpy as np
+from sparsescan import neighbors
+from sparsescan.core import MeasurementSet
+from sparsescan.recon import nearest_measured
+
+mset = MeasurementSet(width=8, height=8)
+mset.add((1, 2), 5.0)
+calls = (
+    lambda: neighbors.knn_measured(np.arange(64), mset.measured_indices(), 8, 8, {count}),
+    lambda: nearest_measured(mset, (3, 3), {count}),
+)
+for call in calls:
+    try:
+        call()
+    except ValueError as exc:
+        print("ValueError:", exc)
+"""
+        src = str(Path(neighbors.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [f"ValueError: count must be at least 1, got {count}"] * 2
 
     def test_insertion_preserves_canonical_lists(self):
         # inserting one measurement must leave every row equal to a rebuild,

@@ -19,6 +19,10 @@ from sparsescan.regress.svr import (
 )
 
 
+# batch sizes at and just past each width a call's last column tile can take
+TAIL_WIDTHS = [64, 65, 128, 129, 192, 193, ROW_TILE + 64, ROW_TILE + 65]
+
+
 def qp_dual_optimum(K, targets, c, epsilon):
     """Dense QP oracle for the SVR dual, solved over doubled variables.
 
@@ -83,12 +87,12 @@ def whole_batch_formula(model, q):
     return np.einsum("ij,j->i", k, model.coefficients) + model.bias
 
 
-def one_kernel_block_formula(model, q):
-    """The slab arithmetic with the whole kernel of a query block kept at once.
+def kernel_exponents(model, block):
+    """-gamma * d2 of up to ROW_TILE query rows, as one 256-wide column tile.
 
-    Each block of up to ROW_TILE query rows gets every slab's product in one
-    (slabs * ROW_TILE, ROW_TILE) array, clamped and exponentiated whole, and
-    then one einsum over the support vectors' rows.
+    Returns the (slabs * ROW_TILE, ROW_TILE) products of every slab against
+    the block's tile: a row per support vector, the last slab's rows and the
+    tile's columns past the block zero-padded.
     """
     sv = model.support_vectors
     nsv, t = sv.shape
@@ -98,17 +102,30 @@ def one_kernel_block_formula(model, q):
     left[:nsv, :t] = sv * (2.0 * gamma)
     left[:nsv, t] = -gamma * np.einsum("ij,ij->i", sv, sv)
     left[:nsv, t + 1] = -gamma
+    rows = block.shape[0]
+    tile = np.zeros((t + 2, ROW_TILE))
+    tile[:t, :rows] = block.T
+    tile[t, :rows] = 1.0
+    tile[t + 1, :rows] = np.einsum("ij,ij->i", block, block)
+    k = np.empty((padded, ROW_TILE))
+    for s in range(0, padded, ROW_TILE):
+        np.matmul(left[s : s + ROW_TILE], tile, out=k[s : s + ROW_TILE])
+    return k
+
+
+def one_kernel_block_formula(model, q):
+    """The slab arithmetic with the whole kernel of a query block kept at once.
+
+    Each block of up to ROW_TILE query rows gets every slab's product in one
+    (slabs * ROW_TILE, ROW_TILE) array, always 256 columns wide, clamped and
+    exponentiated whole, and then one einsum over the support vectors' rows.
+    """
+    nsv = model.support_vectors.shape[0]
     out = np.empty(q.shape[0])
     for start in range(0, q.shape[0], ROW_TILE):
         block = q[start : start + ROW_TILE]
         rows = block.shape[0]
-        tile = np.zeros((t + 2, ROW_TILE))
-        tile[:t, :rows] = block.T
-        tile[t, :rows] = 1.0
-        tile[t + 1, :rows] = np.einsum("ij,ij->i", block, block)
-        k = np.empty((padded, ROW_TILE))
-        for s in range(0, padded, ROW_TILE):
-            np.matmul(left[s : s + ROW_TILE], tile, out=k[s : s + ROW_TILE])
+        k = kernel_exponents(model, block)
         np.exp(np.minimum(k, 0.0), out=k)
         out[start : start + rows] = np.einsum("ij,i->j", k[:nsv], model.coefficients)[:rows]
     return out + model.bias
@@ -290,7 +307,7 @@ class TestPrediction:
         model = random_svr(nsv, seed=nsv)
         assert slab_path(model.support_vectors.shape[1]) == f"blas-coltile{ROW_TILE}"
 
-    @pytest.mark.parametrize("m", [1, ROW_TILE - 1, ROW_TILE, ROW_TILE + 1, 1000])
+    @pytest.mark.parametrize("m", [1, ROW_TILE - 1, ROW_TILE, ROW_TILE + 1, 1000, *TAIL_WIDTHS])
     @pytest.mark.parametrize("nsv", [1, 23, ROW_TILE - 1, ROW_TILE, ROW_TILE + 1, 1927])
     def test_rows_independent_of_batch_across_tile_edges(self, m, nsv):
         model = random_svr(nsv, seed=nsv)
@@ -302,7 +319,9 @@ class TestPrediction:
         for i in {0, min(ROW_TILE - 1, m - 1), min(ROW_TILE, m - 1), m - 1}:
             assert predict_svr(model, q[i : i + 1])[0] == full[i]
 
-    @pytest.mark.parametrize("m", [1, 3, ROW_TILE - 1, ROW_TILE, ROW_TILE + 1, 718, 4097])
+    @pytest.mark.parametrize(
+        "m", [1, 3, ROW_TILE - 1, ROW_TILE, ROW_TILE + 1, 718, 4097, *TAIL_WIDTHS]
+    )
     @pytest.mark.parametrize("nsv", [1, ROW_TILE - 1, ROW_TILE, ROW_TILE + 1, 600])
     def test_slab_sums_equal_one_kernel_block(self, m, nsv):
         # carrying the coefficient sum from slab to slab must give each query
@@ -352,6 +371,31 @@ class TestPrediction:
             model = SvrModel(sv, coefficients, bias=0.0, gamma=1.0 / 6.0, c=1.0, epsilon=0.1)
             k = predict_svr(model, sv[i : i + 1])[0]
             assert 1.0 - 1e-12 <= k <= 1.0
+
+    @pytest.mark.parametrize("nan_query", [False, True])
+    def test_one_call_mixes_clamped_and_unclamped_slabs(self, nan_query):
+        # a query at its own support vector can round -gamma * d2 above 0, so
+        # that vector's slab needs the clamp; the far queries beside it leave
+        # every other slab at or below 0, and those skip it.  A NaN query
+        # makes every slab's max NaN, and each must then still be clamped
+        rng = np.random.default_rng(20)
+        sv = 10.0 * rng.standard_normal((1927, 6))
+        model = SvrModel(sv, rng.uniform(-1.0, 1.0, 1927), 0.5, 1.0 / 6.0, 1.0, 0.1)
+        far = 1000.0 + rng.standard_normal((40, 6))
+        if nan_query:
+            far[7, 2] = np.nan
+        for i in range(1927):
+            q = np.vstack([sv[i], far])
+            k = kernel_exponents(model, q)
+            if k[i, 0] > 0.0:
+                break
+        else:
+            pytest.fail("no support vector rounds its own exponent above 0")
+        slabs = k.reshape(-1, ROW_TILE, ROW_TILE)
+        assert np.flatnonzero(np.any(slabs > 0.0, axis=(1, 2))).tolist() == [i // ROW_TILE]
+        got = predict_svr(model, q)
+        assert got.tobytes() == one_kernel_block_formula(model, q).tobytes()
+        assert np.isnan(got[8]) == nan_query
 
     def test_failed_self_test_keeps_whole_batch_formula_bits(
         self, fresh_column_self_test, monkeypatch
