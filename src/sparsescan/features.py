@@ -31,6 +31,7 @@ import numpy as np
 
 from . import neighbors
 from .core import MeasurementSet, PixelLocation, Reconstruction, location_of
+from .numerics import summed_area
 from .recon import IdwParams, window_bounds
 
 FEATURE_COUNT = 6
@@ -93,8 +94,7 @@ def measured_counts_grid(mask: np.ndarray, halfwidth: int) -> np.ndarray:
     exactly with direct counting.
     """
     h, w = mask.shape
-    sat = np.zeros((h + 1, w + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(mask.astype(np.int64), axis=0), axis=1, out=sat[1:, 1:])
+    sat = summed_area(mask)
     r = np.arange(h)
     c = np.arange(w)
     r0 = np.maximum(r - halfwidth, 0)

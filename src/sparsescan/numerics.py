@@ -56,6 +56,18 @@ def row_blocks(m: int):
     return [slice(start, start + ROW_BLOCK) for start in range(0, m, ROW_BLOCK)]
 
 
+def summed_area(counts: np.ndarray) -> np.ndarray:
+    """The (h + 1, w + 1) int64 summed-area table of a 2-D array of counts.
+
+    sat[r, c] is the sum of counts[:r, :c], so any rectangle's sum is four
+    lookups; integer arithmetic, so it agrees exactly with direct counting.
+    """
+    h, w = counts.shape
+    sat = np.zeros((h + 1, w + 1), dtype=np.int64)
+    np.cumsum(np.cumsum(counts, axis=0, dtype=np.int64), axis=1, out=sat[1:, 1:])
+    return sat
+
+
 def row_tiles(a: np.ndarray) -> np.ndarray:
     """The rows of a (m, k) as (tiles, MATMUL_TILE, k), the last tile zero-padded."""
     m, k = a.shape

@@ -128,6 +128,10 @@ class TestNeighborSearch:
             (200, 1, 0.3, 10),
             (1, 200, 0.3, 1),
             (7, 3, 0.5, 3),
+            (61, 37, 0.01, 10),
+            (6, 130, 0.05, 10),
+            (130, 5, 0.02, 7),
+            (30, 21, 0.005, 10),
         ],
     )
     def test_uniform_masks(self, width, height, density, count):
@@ -138,22 +142,38 @@ class TestNeighborSearch:
         )
 
     @pytest.mark.parametrize(
-        "rows, cols",
+        "rows, cols, rest, shuffled",
         [
-            (slice(0, 20), slice(0, 20)),
-            (slice(30, 45), slice(36, 53)),
-            (slice(0, 3), slice(None)),
-            (slice(2, None, 11), slice(None)),
+            (slice(0, 20), slice(0, 20), 0.0, False),
+            (slice(30, 45), slice(36, 53), 0.0, False),
+            (slice(0, 3), slice(None), 0.0, False),
+            (slice(2, None, 11), slice(None), 0.0, False),
+            (slice(12, 30), slice(20, 39), 0.01, False),
+            (slice(0, 9), slice(44, 53), 0.02, True),
+            (slice(2, None, 11), slice(None), 0.0, True),
         ],
-        ids=["corner-block", "opposite-corner-block", "top-rows", "every-11th-row"],
+        ids=[
+            "corner-block",
+            "opposite-corner-block",
+            "top-rows",
+            "every-11th-row",
+            "block-beside-sparse-rest",
+            "corner-block-beside-sparse-rest-unsorted",
+            "every-11th-row-unsorted",
+        ],
     )
-    def test_block_and_row_masks_queried_everywhere(self, rows, cols):
-        # every pixel is queried, measured ones included, as nearest_measured may
+    def test_block_and_row_masks_queried_everywhere(self, rows, cols, rest, shuffled):
+        # every pixel is queried, measured ones included, as nearest_measured
+        # may; rest measures a random share of the other pixels, and
+        # shuffled passes the measured indices out of order
         width, height = 53, 45
-        grid = np.zeros((height, width), dtype=bool)
+        rng = np.random.default_rng(7)
+        grid = rng.random((height, width)) < rest
         grid[rows, cols] = True
         measured = np.flatnonzero(grid)
         assert measured.size > 10 + 32  # past the old brute-force cut-over
+        if shuffled:
+            measured = rng.permutation(measured)
         queries = np.arange(width * height)
         self.assert_every_row_canonical(queries, measured, width, height, 10)
 
@@ -189,9 +209,9 @@ class TestNeighborSearch:
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_count_below_one_raises_in_both_entry_points(self, count):
-        # cKDTree.query(k=[0]) ends the process with a segmentation fault, so
-        # the calls run in a child process: a regression fails this test
-        # rather than killing the test run
+        # a search asked for no neighbours could end the process rather than
+        # raise, so the calls run in a child process: a regression fails
+        # this test rather than killing the test run
         script = f"""
 import numpy as np
 from sparsescan import neighbors
