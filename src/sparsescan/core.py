@@ -174,6 +174,11 @@ class MeasurementSet:
             raise DuplicateMeasurementError(f"{PixelLocation(r, c)} already measured")
         return r * self.width + c
 
+    def check_grid(self, recon) -> None:
+        """The one check that a reconstruction covers this set's grid; raises ValueError."""
+        if (recon.width, recon.height) != (self.width, self.height):
+            raise ValueError("reconstruction and measurement set dimensions differ")
+
     def add(self, loc, value: float) -> int:
         """Measure value at the unmeasured pixel loc; returns its linear index."""
         lin = self.unmeasured_index(loc)

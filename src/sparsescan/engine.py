@@ -4,9 +4,12 @@ Each step scores unmeasured pixels with a trained regressor, measures the
 highest-scoring location (ties to the lowest linear index), and re-estimates
 every pixel whose neighbour list the new point entered, so the
 reconstruction is always reconstruct(mask), bit for bit.  Only pixels whose
-descriptor inputs could have changed are rescored, which gives the scores a
-full rescoring would: prediction is row-stable, so untouched rows keep
-identical bits.  The uniform-random baseline runs the same loop.
+descriptor inputs could have changed are rescored; prediction is
+row-stable, so a kept score has the bits a full rescoring would give.
+Under svr a window pixel whose only changed input is f6 keeps an upper
+bound instead (f6_rise_bound) and is predicted only when the argmax needs
+it, so the pick and its ERD are still a full rescoring's.  The
+uniform-random baseline runs the same loop.
 
 A step touches only pixels the new measurement can reach.  Two per-image-row
 caches bound the work: the largest k-th-neighbour composite of each row
@@ -43,7 +46,7 @@ from .core import (
 from .features import compute_feature_matrix, measured_counts_grid, neighbour_terms
 from .numerics import row_blocks
 from .recon import IdwParams, idw_from_neighbors, save_mask, window_bounds
-from .regress import predict_batch
+from .regress import f6_rise_bound, predict_batch
 
 
 class SourceQueryError(RuntimeError):
@@ -312,21 +315,35 @@ class ReconState:
 
 class _Greedy:
     """Argmax-ERD policy.  After a measurement only the pixels whose descriptor
-    inputs could have changed are rescored: prediction is row-stable, so
-    that gives the scores a full rescoring would.
+    inputs could have changed get a fresh prediction; every other score is
+    kept, and prediction is row-stable, so a kept exact score has the bits a
+    full rescoring would give.
 
     Pixels are scored by _score, as in select_next.  Measured pixels score
     -inf, and row_max holds the largest score of each image row.  best()
     takes the first maximal row, then the first maximal pixel in it: that is
     the lowest linear index among the top scores, np.argmax's tie rule over
-    all scores.  A step refreshes the maxima of the rows it rescored and of
+    all scores.  A step refreshes the maxima of the rows it touched and of
     the new pixel's row.
+
+    When the model gives a bound on what one more measured pixel in a
+    window can add to a prediction (f6_rise_bound; svr only), a window pixel
+    whose only changed input is f6 is not predicted: its score rises by the
+    bound and it is marked stale, so it holds an upper bound on its
+    prediction.  best() returns the top pixel when its score is exact;
+    otherwise _resolve predicts the stale pixels whose bounds could reach
+    the top first.  The pick and its ERD are then the ones a full rescoring
+    gives, bit for bit.
     """
+
+    RESOLVE_ROWS = 8  # rows with the largest maxima that _resolve takes t from
 
     def __init__(self, state: ReconState, model):
         self.state = state
         self.model = model
+        self.rise = f6_rise_bound(model, state.params.window)
         self.scores = np.full(state.n, -np.inf)
+        self.stale = np.zeros(state.n, dtype=bool)
         self._rescore(state.mset.unmeasured_indices())
         self.row_max = self._grid().max(axis=1)
 
@@ -338,32 +355,70 @@ class _Greedy:
             return self.state.features(pixels[block])
 
         _score(self.model, pixels, features, self.scores, self.state.mset.k + 1)
+        self.stale[pixels] = False
 
     def best(self):
         r = int(np.argmax(self.row_max))
         c = int(np.argmax(self._grid()[r]))
+        if self.stale[r * self.state.width + c]:
+            self._resolve()
+            r = int(np.argmax(self.row_max))
+            c = int(np.argmax(self._grid()[r]))
         return PixelLocation(r, c), float(self.row_max[r])
+
+    def _resolve(self) -> None:
+        """Predict every stale pixel whose bound reaches t, an exact score.
+
+        t is the best exact score among the RESOLVE_ROWS rows with the
+        largest maxima (-inf when they hold none, which resolves every stale
+        pixel), so finding it reads a few rows, not the image.  Only rows
+        whose maximum reaches t can hold such a pixel.  Afterwards every
+        stale bound is below t, which an exact score still holds, so the top
+        score is exact, and no stale pixel can equal it: one batch suffices.
+        """
+        h, w = self.state.height, self.state.width
+        grid = self._grid()
+        stale = self.stale.reshape(h, w)
+        top = np.argpartition(self.row_max, -min(self.RESOLVE_ROWS, h))[-self.RESOLVE_ROWS :]
+        t = np.where(stale[top], -np.inf, grid[top]).max()
+        rows = np.flatnonzero(self.row_max >= t)
+        pr, pc = np.nonzero(stale[rows] & (grid[rows] >= t))
+        self._rescore(rows[pr] * w + pc)
+        self.row_max[rows] = grid[rows].max(axis=1)
 
     def measured(self, loc, affected: np.ndarray) -> None:
         st = self.state
         h, w = st.height, st.width
-        self.scores[linear_index(loc, w)] = -np.inf
-        # Rescore the window (f6 changed there), the pixels whose lists
-        # changed (f3-f5) and their 4-neighbours (f1 and f2 read a changed
-        # value one pixel away).  A changed pixel strictly inside the box
-        # has its 4-neighbours in the box, so only those on or past its
-        # border ring are expanded.  Clipping the neighbours to the grid
-        # makes duplicates, which the sort drops.
+        lin = linear_index(loc, w)
+        self.scores[lin] = -np.inf
+        # A changed list changes the pixel's f3-f5, and a changed value (the
+        # new pixel's, or a changed list's estimate) the gradients f1 and f2
+        # of its 4-neighbours.  f6 changed in the whole box.  Clipping the
+        # neighbours to the grid makes duplicates, which the sort drops.
         r0, r1, c0, c1 = window_bounds(loc, w, h, st.params.window)
-        ar, ac = np.divmod(affected, w)
-        ring = (ar <= r0) | (ar >= r1) | (ac <= c0) | (ac >= c1)
-        ar, ac = ar[ring], ac[ring]
+        ar, ac = np.divmod(np.append(affected, lin), w)
+        if self.rise is None:
+            # the whole box is rescored, and a pixel strictly inside it has
+            # its 4-neighbours in the box: only those on or past its border
+            # ring are expanded (on greedy-lsq-256 about 24 of 385 a step)
+            ring = (ar <= r0) | (ar >= r1) | (ac <= c0) | (ac >= c1)
+            ar, ac = ar[ring], ac[ring]
         rr = np.concatenate([ar, np.maximum(ar - 1, 0), np.minimum(ar + 1, h - 1), ar, ar])
         cc = np.concatenate([ac, ac, ac, np.maximum(ac - 1, 0), np.minimum(ac + 1, w - 1)])
         out = (rr < r0) | (rr > r1) | (cc < c0) | (cc > c1)
         outside = _distinct(np.sort(rr[out] * w + cc[out]))
         outside = outside[~st.mset.mask.ravel()[outside]]
-        br, bc = np.nonzero(~st.mset.mask[r0 : r1 + 1, c0 : c1 + 1])
+        box = ~st.mset.mask[r0 : r1 + 1, c0 : c1 + 1]
+        if self.rise is not None:
+            # the box pixels whose only changed input is f6 wait behind a bound
+            fresh = np.zeros_like(box)
+            fresh[rr[~out] - r0, cc[~out] - c0] = True
+            sr, sc = np.nonzero(box & ~fresh)
+            waiting = (sr + r0) * w + (sc + c0)
+            self.scores[waiting] += self.rise
+            self.stale[waiting] = True
+            box &= fresh
+        br, bc = np.nonzero(box)
         self._rescore(np.concatenate([(br + r0) * w + (bc + c0), outside]))
         rows = _distinct(outside // w)
         rows = np.concatenate([np.arange(r0, r1 + 1), rows[(rows < r0) | (rows > r1)]])
@@ -393,8 +448,7 @@ def select_next(model, recon: Reconstruction, mset: MeasurementSet):
     and one window count of mset, then descriptor rows read from recon, scored
     by _score.  A non-finite prediction raises FloatingPointError.
     """
-    if (recon.width, recon.height) != (mset.width, mset.height):
-        raise ValueError("reconstruction and measurement set dimensions differ")
+    mset.check_grid(recon)
     if mset.k == mset.width * mset.height:
         raise ValueError("image fully measured")
     w, h, params = mset.width, mset.height, model.idw

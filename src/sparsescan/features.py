@@ -168,8 +168,7 @@ def extract_features(
     recon: Reconstruction, mset: MeasurementSet, s, params: IdwParams
 ) -> FeatureVector:
     """Descriptor for one unmeasured pixel against the current reconstruction."""
-    if (recon.width, recon.height) != (mset.width, mset.height):
-        raise ValueError("reconstruction and measurement set dimensions differ")
+    mset.check_grid(recon)
     lin = np.array([mset.unmeasured_index(s)], dtype=np.int64)
     s = location_of(int(lin[0]), mset.width)
     comp = neighbors.knn_measured(

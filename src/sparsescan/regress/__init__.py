@@ -10,7 +10,7 @@ from ..recon import IdwParams
 from .linear import LinearModel, fit_linear
 from .mlp import MlpConfig, MlpModel, TrainingDivergedError, fit_mlp
 from .mlp import forward as _mlp_forward
-from .svr import SvrModel, fit_svr, predict_svr, slab_path
+from .svr import SvrModel, fit_svr, predict_svr, rise_bound, slab_path
 
 KINDS = ("lsq", "svr", "nn")
 _PAYLOAD_TYPES = {"lsq": LinearModel, "svr": SvrModel, "nn": MlpModel}
@@ -60,6 +60,26 @@ def predict_batch(model: ErdModel, raw_features: np.ndarray) -> np.ndarray:
     )
 
 
+def f6_rise_bound(model: ErdModel, window: int):
+    """How far one more measured pixel in a pixel's window can raise its
+    predicted ERD while its other inputs stay, or None when the kind keeps
+    no such bound.
+
+    window is the radius the features' f6 counts in, which a run may set
+    apart from model.idw.window.  f6 = count / (2w+1)^2, so one more pixel
+    raises f6 by 1 / (2w+1)^2 and its standardized value by that over f6's
+    std; svr's rise_bound turns the step into a bound.  lsq returns None: its prediction costs less than
+    the bookkeeping a bound saves.  nn returns None: the only cheap sound
+    bound, the sum over paths of |weights| from input 6, allows about 5,000
+    ERD a pixel on the benchmark model against picks near 30, so nothing
+    could wait behind it.
+    """
+    if model.kind != "svr":
+        return None
+    step = 1.0 / ((2 * window + 1) ** 2 * float(model.stats.stds[-1]))
+    return rise_bound(model.payload, step)
+
+
 def prediction_path(model: ErdModel) -> str:
     """The product path predict_batch runs for model, as effective.cfg reports it.
 
@@ -99,6 +119,7 @@ __all__ = [
     "ModelVersionError",
     "SvrModel",
     "TrainingDivergedError",
+    "f6_rise_bound",
     "fit_linear",
     "fit_mlp",
     "fit_svr",

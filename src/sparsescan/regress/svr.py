@@ -11,6 +11,8 @@ numerics.stable_cross_sq_dists.
 """
 
 import functools
+import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +49,63 @@ class SvrModel:
         object.__setattr__(self, "support_vectors", sv)
         object.__setattr__(self, "coefficients", co)
         object.__setattr__(self, "support_indices", idx)
+
+
+_last_operands = (None, None)  # weak reference to the model _predict_slabs ran last, its operands
+
+
+def _slab_operands(model: SvrModel):
+    """(left, weights) of _predict_slabs for model, built once and kept for the model run last.
+
+    left holds the support vectors' rows [2 gamma sv_i, -gamma |sv_i|^2,
+    -gamma], zero-padded to whole slabs of ROW_TILE rows; weights[s]
+    multiplies the buffer rows [carried sum, slab s].  One slot, not one per
+    model: a caller that keeps many models alive keeps one set of operands
+    (about 150 kB with 1,927 support vectors), and a weak reference keeps no
+    model alive.
+    """
+    global _last_operands
+    ref, operands = _last_operands
+    if ref is None or ref() is not model:
+        sv = model.support_vectors
+        nsv, t = sv.shape
+        gamma = model.gamma
+        nslab = -(-nsv // ROW_TILE)
+        left = np.zeros((nslab * ROW_TILE, t + 2))
+        np.multiply(sv, 2.0 * gamma, out=left[:nsv, :t])
+        left[:nsv, t] = -gamma * np.einsum("ij,ij->i", sv, sv)
+        left[:nsv, t + 1] = -gamma
+        weights = np.ones((nslab, ROW_TILE + 1))
+        weights[:, 1:] = np.pad(model.coefficients, (0, nslab * ROW_TILE - nsv)).reshape(nslab, -1)
+        operands = left, weights
+        _last_operands = weakref.ref(model), operands
+    return operands
+
+
+def rise_bound(model: SvrModel, step: float) -> float:
+    """How far raising one standardized input of a row by step can raise its computed prediction.
+
+    The prediction is sum_i c_i exp(-gamma ||x - sv_i||^2) + b.  Along one
+    input x_j, with u = x_j - sv_ij, each kernel term changes at the rate
+    |d/dx_j exp(-gamma ||x - sv_i||^2)| = 2 gamma |u| exp(-gamma u^2) times a
+    factor exp(-gamma (the other inputs' squared offsets)) <= 1, and
+    max_u 2 gamma |u| exp(-gamma u^2) = sqrt(2 gamma / e), reached at
+    u = 1 / sqrt(2 gamma).  So the prediction is Lipschitz in x_j with
+    L = sum_i |c_i| sqrt(2 gamma / e), and a rise of step raises it by at
+    most L * step.  The slab loop clamps the kernel exponent at 0, which is
+    monotone and 1-Lipschitz and changes no real exponent (all are <= 0).
+
+    The bound is for computed predictions, so it carries two margins: a
+    relative 1e-6 for the rounding of step itself in the standardized
+    inputs, and an absolute 1e-9 (sum_i |c_i| + |b|) for the rounding of the
+    two predictions compared and of a score the bound is added to.  Each of
+    those is within about (nsv + t) eps (sum_i |c_i| + |b|) of its real
+    value, eps = 2^-52: under 1e-12 of that scale at the benchmark's 1,927
+    support vectors.
+    """
+    scale = float(np.sum(np.abs(model.coefficients)))
+    lipschitz = scale * math.sqrt(2.0 * model.gamma / math.e)
+    return lipschitz * step * (1.0 + 1e-6) + 1e-9 * (scale + abs(model.bias))
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
@@ -238,17 +297,9 @@ def _predict_slabs(model: SvrModel, v: np.ndarray) -> np.ndarray:
     Full blocks take ROW_TILE columns and the last block the fewest whole
     TAIL_STEP columns that hold it, so a small batch computes a narrow tile.
     """
-    sv = model.support_vectors
-    nsv, t = sv.shape
-    gamma = model.gamma
-    nslab = -(-nsv // ROW_TILE)
-    left = np.zeros((nslab * ROW_TILE, t + 2))
-    np.multiply(sv, 2.0 * gamma, out=left[:nsv, :t])
-    left[:nsv, t] = -gamma * np.einsum("ij,ij->i", sv, sv)
-    left[:nsv, t + 1] = -gamma
-    # weights[s] multiplies buffer rows [carried sum, slab s]
-    weights = np.ones((nslab, ROW_TILE + 1))
-    weights[:, 1:] = np.pad(model.coefficients, (0, nslab * ROW_TILE - nsv)).reshape(nslab, -1)
+    left, weights = _slab_operands(model)
+    nsv, t = model.support_vectors.shape
+    nslab = weights.shape[0]
     # a narrower block views the front of the same storage as a C-contiguous
     # (rows, width) array, so every product writes a whole array
     tile_store = np.empty((t + 2) * ROW_TILE)

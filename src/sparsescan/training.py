@@ -122,12 +122,13 @@ class RdEvaluator:
         return exact_abs_sum(truth, before) - exact_abs_sum(truth, after)
 
     def feature_matrix(self, candidate_indices: np.ndarray) -> np.ndarray:
-        """Raw descriptor rows for unmeasured pixels given as linear indices."""
+        """Raw descriptor rows for unmeasured pixels given as linear indices.
+
+        MeasurementSet.unmeasured_index checks each candidate.
+        """
         pixels = np.asarray(candidate_indices, dtype=np.int64)
-        if np.any((pixels < 0) | (pixels >= self.state.n)):
-            raise ValueError("candidates must lie inside the grid")
-        if self.state.mset.mask.take(pixels).any():
-            raise ValueError("candidates must be unmeasured")
+        for lin in pixels.tolist():
+            self.state.mset.unmeasured_index(divmod(lin, self.state.width))
         return self.state.features(pixels)
 
 

@@ -1,13 +1,16 @@
 """Tests for the greedy sampling loop, baselines and run artifacts."""
 
+import dataclasses
 import math
 import re
 import tracemalloc
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from sparsescan import engine, neighbors, numerics
+from sparsescan import engine, load_model, neighbors, numerics
 from sparsescan.core import (
     PSNR_CAP_DB,
     DuplicateMeasurementError,
@@ -33,12 +36,26 @@ from sparsescan.engine import (
 )
 from sparsescan.features import FeatureStats, extract_features, neighbour_terms
 from sparsescan.recon import IdwParams, reconstruct, window_bounds
-from sparsescan.regress import ErdModel, LinearModel, MlpModel, fit_svr, predict_batch
+from sparsescan.regress import (
+    ErdModel,
+    LinearModel,
+    MlpModel,
+    SvrModel,
+    fit_svr,
+    predict_batch,
+)
 from sparsescan.regress.mlp import init_params
 from sparsescan.synth import blob_image
 from sparsescan.training import RdEvaluator, TrainingSchedule, train_erd_model
 
 PARAMS = IdwParams(neighbors=10, power=2.0, window=15)
+MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "models"
+
+
+class Replay(NamedTuple):
+    steps: int  # greedy steps replayed
+    stale: int  # stale scores seen, summed over the steps
+    resolutions: int  # steps whose top score was stale, so best() resolved
 
 
 def linear_model(theta, means=None, stds=None, params=PARAMS):
@@ -371,25 +388,48 @@ class TestRunSampling:
         lazily rescored argmax of the incremental state must equal
         select_next, which searches the neighbour lists, counts the windows
         and scores every row from scratch, against the same reconstruction:
-        location and predicted-ERD bits.  Every
-        kept score must equal a rescoring of a rebuilt state, bit for bit,
-        and the neighbour lists and per-row caches their recomputation."""
-        assert config.idw == model.idw  # select_next reconstructs with the model's params
+        location and predicted-ERD bits.  Every exact score must equal a
+        rescoring of a rebuilt state, bit for bit; every stale one must be at
+        least that rescoring, and its pixel's f1-f5 those it was last
+        predicted with; and the neighbour lists and per-row caches must equal
+        their recomputation.  Returns a Replay: the greedy steps, the
+        stale scores seen over them and the resolution batches best() ran."""
+        # select_next counts and reconstructs with its model's params, which a
+        # run may set apart from the model's: it is given the run's
+        reference = dataclasses.replace(model, idw=config.idw)
         n = image.pixel_count
         mset = seeded_mask(image, math.ceil(config.initial_density * n), config.seed)
         state = ReconState(mset, config.idw)
         policy = _Greedy(state, model)
+        resolve = policy._resolve
+        resolutions = []
+
+        def counting():
+            resolutions.append(mset.k + 1)
+            resolve()
+
+        policy._resolve = counting
         erds = []
+        stale_seen = 0
+        predicted = np.zeros((n, 6))  # each pixel's descriptor when last predicted
         while mset.k < math.ceil(config.budget_density * n):
             TestRunSampling.assert_caches_match_rebuild(state, policy)
             loc, erd = policy.best()
             recon = state.reconstruction()
-            ref_loc, ref_erd = select_next(model, recon, mset)
+            ref_loc, ref_erd = select_next(reference, recon, mset)
             assert (loc, erd.hex()) == (ref_loc, ref_erd.hex()), f"step {mset.k + 1}"
             rebuilt = ReconState(mset, config.idw)
             assert rebuilt.recon_flat.tobytes() == recon.values.tobytes()
-            full = predict_batch(model, rebuilt.features(mset.unmeasured_indices()))
-            np.testing.assert_array_equal(policy.scores[mset.unmeasured_indices()], full)
+            unmeasured = mset.unmeasured_indices()
+            features = rebuilt.features(unmeasured)
+            full = predict_batch(model, features)
+            kept, stale = policy.scores[unmeasured], policy.stale[unmeasured]
+            np.testing.assert_array_equal(kept[~stale], full[~stale])
+            assert np.all(kept[stale] >= full[stale]), f"step {mset.k + 1}"
+            # a stale pixel has the f1-f5 it was last predicted with
+            np.testing.assert_array_equal(predicted[unmeasured[stale], :5], features[stale, :5])
+            predicted[unmeasured[~stale]] = features[~stale]
+            stale_seen += int(np.count_nonzero(stale))
             policy.measured(loc, state.measure(loc, float(image.values[loc])))
             erds.append(erd)
         TestRunSampling.assert_caches_match_rebuild(state, policy)
@@ -397,18 +437,20 @@ class TestRunSampling:
         run = run_sampling(SimulatedSource(image), model, config, image)
         assert [(e.location, e.value) for e in run.history] == mset.entries
         assert [e.predicted_erd for e in run.history[len(run.history) - len(erds) :]] == erds
-        return len(erds)
+        return Replay(len(erds), stale_seen, len(resolutions))
 
     def test_each_step_matches_select_next(self, trained_lsq):
         image = blob_image(size=16, seed=10)
-        assert self.assert_each_step_matches_select_next(trained_lsq, image, self.small_config())
+        replay = self.assert_each_step_matches_select_next(trained_lsq, image, self.small_config())
+        # lsq keeps no bound: every pixel whose inputs changed is rescored at once
+        assert replay.steps and replay.stale == replay.resolutions == 0
 
     def test_each_step_matches_select_next_on_non_square_grid(self, trained_lsq):
         # 24 rows by 40 columns: reshapes and box slices must keep (h, w) apart
         image = GroundTruthImage.from_array(blob_image(size=40).values[:24])
         assert (image.height, image.width) == (24, 40)
         cfg = self.small_config(budget_density=0.15, checkpoint_densities=())
-        assert self.assert_each_step_matches_select_next(trained_lsq, image, cfg)
+        assert self.assert_each_step_matches_select_next(trained_lsq, image, cfg).steps
 
     def test_each_step_matches_select_next_at_window_3(self):
         # a small window leaves many re-estimated pixels on and past the
@@ -419,15 +461,16 @@ class TestRunSampling:
         cfg = self.small_config(
             initial_density=0.01, budget_density=0.30, checkpoint_densities=(), idw=params
         )
-        assert self.assert_each_step_matches_select_next(model, blob_image(size=32, seed=3), cfg)
+        image = blob_image(size=32, seed=3)
+        assert self.assert_each_step_matches_select_next(model, image, cfg).steps
 
     @pytest.mark.parametrize("count", (10, 4))
     @pytest.mark.parametrize("shape", ((32, 32), (24, 40)), ids=("32x32", "24x40"))
     def test_each_step_matches_select_next_at_window_1(self, shape, count):
         # a 3x3 box: nearly every changed list lies on or past the box's
         # border ring, whose 4-neighbours are the only ones that can fall
-        # outside it, so the ring test must keep its edges.  Four neighbours
-        # keep the changed regions small enough that each side of the ring
+        # outside it, so each side of the box must be tested.  Four
+        # neighbours keep the changed regions small enough that each side
         # matters on its own.
         h, w = shape
         image = GroundTruthImage.from_array(blob_image(size=w, seed=3).values[:h])
@@ -436,7 +479,7 @@ class TestRunSampling:
         cfg = self.small_config(
             initial_density=0.01, budget_density=0.15, checkpoint_densities=(), idw=params
         )
-        assert self.assert_each_step_matches_select_next(model, image, cfg)
+        assert self.assert_each_step_matches_select_next(model, image, cfg).steps
 
     def test_each_step_matches_select_next_with_two_neighbours(self):
         # with two neighbours a new measurement changes few neighbour lists,
@@ -446,7 +489,8 @@ class TestRunSampling:
         cfg = self.small_config(
             initial_density=0.10, budget_density=0.20, checkpoint_densities=(), idw=params
         )
-        assert self.assert_each_step_matches_select_next(model, blob_image(size=32, seed=3), cfg)
+        image = blob_image(size=32, seed=3)
+        assert self.assert_each_step_matches_select_next(model, image, cfg).steps
 
     def test_each_step_matches_select_next_for_nn_at_64(self):
         # untrained weights are enough: the property is about batching.  A
@@ -456,8 +500,9 @@ class TestRunSampling:
         cfg = self.small_config(
             initial_density=0.01, budget_density=0.04, checkpoint_densities=(), idw=model.idw
         )
-        steps = self.assert_each_step_matches_select_next(model, blob_image(size=64, seed=12), cfg)
-        assert steps == math.ceil(0.04 * 64 * 64) - math.ceil(0.01 * 64 * 64)
+        replay = self.assert_each_step_matches_select_next(model, blob_image(size=64, seed=12), cfg)
+        assert replay.steps == math.ceil(0.04 * 64 * 64) - math.ceil(0.01 * 64 * 64)
+        assert replay.stale == replay.resolutions == 0  # nn keeps no bound either
 
     def test_each_step_matches_select_next_for_svr(self):
         # a window of 3 keeps the lazy batches at tens of rows while
@@ -473,7 +518,61 @@ class TestRunSampling:
         cfg = self.small_config(
             initial_density=0.05, budget_density=0.15, checkpoint_densities=(), idw=params
         )
-        assert self.assert_each_step_matches_select_next(model, image, cfg)
+        assert self.assert_each_step_matches_select_next(model, image, cfg).steps
+
+    @pytest.mark.parametrize("count", (10, 1))
+    def test_each_step_matches_select_next_for_svr_at_window_15(self, count):
+        # the benchmark's svr model at the default window: a measurement
+        # changes only f6 for most of its 31x31 box, so those scores wait
+        # behind f6_rise_bound, and best() must resolve them whenever a bound
+        # reaches the top.  Both must happen here, or nothing was tested.
+        # With one neighbour a 4-neighbour of the new pixel can keep its
+        # list, yet its gradient reads the new value, so it must not wait.
+        model = load_model(MODELS / "svr.slnm")
+        assert model.idw == PARAMS
+        params = IdwParams(neighbors=count, power=2.0, window=15)
+        model = ErdModel(kind="svr", payload=model.payload, stats=model.stats, idw=params)
+        cfg = self.small_config(
+            initial_density=0.01, budget_density=0.15, checkpoint_densities=(), idw=params
+        )
+        replay = self.assert_each_step_matches_select_next(model, blob_image(size=32, seed=5), cfg)
+        assert replay.stale > 0 and replay.resolutions > 0
+
+    @staticmethod
+    def f6_only_svr(window):
+        """An svr model made for window 15 that reads f6 alone: f1-f5
+        standardize to about 0, and one kernel term in f6 has its steepest
+        slope at about 16 measured pixels of a (2 window + 1)^2 box, where
+        one more pixel raises a prediction by nearly the whole bound."""
+        area = (2 * window + 1) ** 2
+        stats = FeatureStats(means=np.zeros(6), stds=np.array([1e12] * 5 + [20.0 / area]))
+        payload = SvrModel(
+            support_vectors=np.array([[0.0] * 5 + [1.5]]),
+            coefficients=np.array([1.0]),
+            bias=0.0,
+            gamma=1.0,
+            c=1.0,
+            epsilon=0.1,
+        )
+        return ErdModel(kind="svr", payload=payload, stats=stats, idw=PARAMS)
+
+    @pytest.mark.parametrize("which", ("benchmark", "f6-only"))
+    def test_each_step_matches_select_next_for_svr_at_a_run_window_of_7(self, which):
+        # both models were made for window 15, and the run counts f6 in a
+        # 15x15 box: one more measured pixel raises f6 by 1/225, not 1/961,
+        # so the bound must come from the run's window.  The f6-only model
+        # makes a bound four times too small fail the stale scores' check.
+        params = IdwParams(neighbors=10, power=2.0, window=7)
+        if which == "benchmark":
+            model = load_model(MODELS / "svr.slnm")
+        else:
+            model = self.f6_only_svr(params.window)
+        assert model.idw == PARAMS
+        cfg = self.small_config(
+            initial_density=0.01, budget_density=0.15, checkpoint_densities=(), idw=params
+        )
+        replay = self.assert_each_step_matches_select_next(model, blob_image(size=32, seed=5), cfg)
+        assert replay.stale > 0 and replay.resolutions > 0
 
     @pytest.mark.filterwarnings("error")
     def test_each_step_matches_select_next_from_fewer_seeds_than_neighbours(self, trained_lsq):
@@ -483,7 +582,8 @@ class TestRunSampling:
             initial_density=0.01, budget_density=0.10, checkpoint_densities=()
         )
         assert math.ceil(0.01 * 256) < PARAMS.neighbors
-        assert self.assert_each_step_matches_select_next(trained_lsq, blob_image(16, seed=2), cfg)
+        image = blob_image(16, seed=2)
+        assert self.assert_each_step_matches_select_next(trained_lsq, image, cfg).steps
 
     def test_insertion_work_does_not_grow_with_image_size(self, trained_lsq, monkeypatch):
         # rows handed to the neighbour insertion per greedy step, by image size
@@ -797,10 +897,10 @@ class TestEdgeGrids:
             seed=3,
             idw=trained_lsq.idw,
         )
-        steps = TestRunSampling.assert_each_step_matches_select_next(
+        replay = TestRunSampling.assert_each_step_matches_select_next(
             trained_lsq, self.image(*shape), cfg
         )
-        assert steps == shape[0] * shape[1] - 1
+        assert replay.steps == shape[0] * shape[1] - 1
 
 
 class TestBlockSize:

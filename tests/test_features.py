@@ -12,7 +12,7 @@ import pytest
 
 from sparsescan import neighbors
 from sparsescan.core import MeasurementSet, PixelLocation, Reconstruction
-from sparsescan.engine import ReconState
+from sparsescan.engine import ReconState, select_next
 from sparsescan.features import (
     FEATURE_COUNT,
     STD_FLOOR,
@@ -24,6 +24,17 @@ from sparsescan.features import (
     standardize,
 )
 from sparsescan.recon import IdwParams, reconstruct
+from sparsescan.regress import ErdModel, LinearModel
+
+
+def linear_model_for(params):
+    """lsq scorer of the distance f5 alone, with identity standardization."""
+    return ErdModel(
+        kind="lsq",
+        payload=LinearModel(theta=np.eye(FEATURE_COUNT)[4]),
+        stats=FeatureStats(means=np.zeros(FEATURE_COUNT), stds=np.ones(FEATURE_COUNT)),
+        idw=params,
+    )
 
 
 def straight_line_features(recon_vals, mset, s, params):
@@ -180,6 +191,20 @@ class TestDescriptorValues:
         loc = mset.entries[0][0]
         with pytest.raises(ValueError):
             extract_features(recon, mset, loc, params)
+
+    def test_grid_mismatch_rejected_as_select_next_rejects_it(self):
+        # MeasurementSet.check_grid is the one owner of this check
+        params = IdwParams(neighbors=2, window=2)
+        mset, recon = random_case(8, 8, 10, 0, params)
+        model = linear_model_for(params)
+        taller = Reconstruction(width=8, height=9, values=np.zeros((9, 8)))
+        lin = int(mset.unmeasured_indices()[0])
+        message = "reconstruction and measurement set dimensions differ"
+        with pytest.raises(ValueError, match=message):
+            extract_features(taller, mset, divmod(lin, 8), params)
+        with pytest.raises(ValueError, match=message):
+            select_next(model, taller, mset)
+        assert select_next(model, recon, mset)[0] not in mset
 
     def test_repeated_extraction_bit_identical(self):
         params = IdwParams(neighbors=5, window=3)

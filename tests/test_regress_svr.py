@@ -1,12 +1,17 @@
 """Tests for the pairwise-dual support vector regressor."""
 
+import gc
 import math
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from sparsescan import load_model
 from sparsescan.numerics import ROW_TILE, stable_cross_sq_dists
+from sparsescan.regress import f6_rise_bound, predict_batch
 from sparsescan.regress import svr
 from sparsescan.regress.svr import (
     SvrModel,
@@ -425,12 +430,116 @@ class TestPrediction:
         info = slab_path.cache_info()
         assert (info.misses, info.hits) == (2, 10)
 
+    def test_slab_operands_are_built_once_and_keep_no_model_alive(self):
+        rng = np.random.default_rng(3)
+
+        def model(seed):
+            rng = np.random.default_rng(seed)
+            sv = rng.standard_normal((300, 6))
+            return SvrModel(sv, rng.uniform(-1, 1, 300), 0.0, 0.2, 1.0, 0.1)
+
+        first = model(1)
+        queries = rng.standard_normal((5, 6))
+        before = predict_svr(first, queries)
+        left, weights = svr._slab_operands(first)
+        assert left.shape == (2 * ROW_TILE, 8) and weights.shape == (2, ROW_TILE + 1)
+        predict_svr(first, queries)
+        assert svr._slab_operands(first)[0] is left  # kept, not rebuilt
+        alive = weakref.ref(first)
+        del first
+        gc.collect()
+        assert alive() is None
+        # a later model, perhaps at the freed one's address, gets its own
+        second = model(2)
+        np.testing.assert_array_equal(
+            svr._slab_operands(second)[0][:300, :6], second.support_vectors * 0.4
+        )
+        assert predict_svr(model(1), queries).tobytes() == before.tobytes()
+
     def test_auto_gamma_values(self):
         rng = np.random.default_rng(14)
         V = rng.standard_normal((500, 6))
         pooled = float(np.mean(np.var(V, axis=0)))
         assert auto_gamma(V) == pytest.approx(1.0 / (6 * pooled), rel=1e-15)
         assert auto_gamma(np.ones((10, 4))) == 0.25  # degenerate spread
+
+
+def worst_offset_rows(model, j, step, rng, count=40):
+    """Rows on support vectors but for input j, which sits where a kernel
+    term's slope along j peaks, |u| = 1 / sqrt(2 gamma), with the step
+    straddling the peak on either side; then random rows around them."""
+    sv = model.support_vectors
+    u = 1.0 / math.sqrt(2.0 * model.gamma)
+    base = sv[rng.integers(0, sv.shape[0], count)]
+    rows = []
+    for offset in (u, -u):
+        row = base.copy()
+        row[:, j] += offset - step / 2.0
+        rows.append(row)
+    rows.append(base + rng.normal(0.0, u, base.shape))
+    return np.concatenate(rows)
+
+
+class TestRiseBound:
+    """rise_bound caps what raising one standardized input by step can add to
+    a computed prediction.  The greedy loop lets a pixel whose only changed
+    input is f6 wait behind it, so a bound too small would let it pick the
+    wrong pixel."""
+
+    @staticmethod
+    def model(kind, gamma, rng):
+        c = 10.0 ** rng.uniform(-1.0, 2.0)
+        sv = rng.normal(0.0, 2.0 / math.sqrt(gamma), (300, 6))
+        if kind == "one":
+            sv, coef = sv[:1], np.array([c])
+        elif kind == "stacked":  # equal vectors and coefficients: L is reached
+            sv, coef = np.repeat(sv[:1], 7, axis=0), np.full(7, -c)
+        else:
+            coef = rng.uniform(-c, c, sv.shape[0])
+        return SvrModel(sv, coef, bias=rng.normal(0.0, 30.0), gamma=gamma, c=c, epsilon=0.1)
+
+    @pytest.mark.parametrize("fraction", (0.005, 0.5))
+    @pytest.mark.parametrize("kind", ("one", "stacked", "random"))
+    @pytest.mark.parametrize("gamma", (1e-4, 0.02, 1.0 / 6.0, 3.0, 100.0))
+    def test_raising_one_input_by_step_stays_within_the_bound(self, gamma, kind, fraction):
+        rng = np.random.default_rng([int(gamma * 1e4), len(kind), int(fraction * 1e3)])
+        model = self.model(kind, gamma, rng)
+        step = fraction / math.sqrt(2.0 * gamma)  # a fraction of the peak offset
+        bound = svr.rise_bound(model, step)
+        for j in (0, 5):
+            rows = worst_offset_rows(model, j, step, rng)
+            raised = rows.copy()
+            raised[:, j] += step
+            rise = np.abs(predict_svr(model, raised) - predict_svr(model, rows))
+            assert rise.max() <= bound, (j, rise.max() / bound)
+            if kind != "random" and fraction < 0.1:
+                # the rows at the peak come within 0.1% of the bound, so a
+                # bound a quarter of the size fails here
+                assert rise.max() >= 0.999 * bound
+
+    @pytest.mark.parametrize("window", [15, 7, 3])
+    def test_one_more_measured_pixel_stays_within_f6_rise_bound(self, window):
+        # the benchmark's model (trained at window 15), through
+        # predict_batch's standardization: rows at the peak offset in f6 from
+        # its support vectors, raised by one measured pixel of the window the
+        # features count in, 1/(2w+1)^2 in raw f6
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "models"
+        model = load_model(path / "svr.slnm")
+        area = (2 * window + 1) ** 2
+        stats = model.stats
+        step = 1.0 / (area * stats.stds[5])
+        rows = worst_offset_rows(model.payload, 5, step, np.random.default_rng(5), count=200)
+        raw = rows * stats.stds + stats.means
+        raised = raw.copy()
+        raised[:, 5] += 1.0 / area
+        rise = np.abs(predict_batch(model, raised) - predict_batch(model, raw))
+        bound = f6_rise_bound(model, window)
+        # sum |c_i| sqrt(2 gamma / e) = 668.5, sigma6 0.1296
+        assert bound == pytest.approx(668.5 / (area * 0.1296), rel=1e-3)
+        assert rise.max() <= bound
+        assert rise.max() > 0.0
+        for kind in ("lsq", "nn"):
+            assert f6_rise_bound(load_model(path / f"{kind}.slnm"), window) is None
 
 
 class TestValidation:

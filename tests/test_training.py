@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -11,8 +12,10 @@ from scipy.stats import spearmanr
 
 from sparsescan import training
 from sparsescan.core import (
+    DuplicateMeasurementError,
     GroundTruthImage,
     MeasurementSet,
+    OutOfBoundsError,
     PixelLocation,
     distortion,
 )
@@ -111,6 +114,17 @@ class TestRdHandCases:
                 ev.feature_matrix(np.array(bad))
         with pytest.raises(ValueError):
             ev.feature_matrix(mset.measured_indices()[:1])
+
+    def test_feature_matrix_checks_candidates_as_measurement_set_does(self):
+        # MeasurementSet.unmeasured_index is the one owner of the check
+        image = blob_image(size=16, seed=2)
+        mset = random_setup(image, 0.1, seed=0)
+        ev = RdEvaluator(image, mset, PARAMS)
+        with pytest.raises(OutOfBoundsError, match="outside 16x16 grid"):
+            ev.feature_matrix(np.array([int(ev.unmeasured[0]), 16 * 16]))
+        measured = mset.entries[0][0]
+        with pytest.raises(DuplicateMeasurementError, match=re.escape(f"{measured} already")):
+            ev.feature_matrix(np.array([measured.row * 16 + measured.col]))
 
     def test_empty_and_saturated_sets_rejected(self):
         img = GroundTruthImage(width=2, height=2, values=np.zeros((2, 2)))
